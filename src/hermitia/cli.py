@@ -293,7 +293,7 @@ def _dispatch(args, tols) -> int:
 
     if verb == "kruskal":
         d = _load_decomposition(args.input)
-        rep = decomposition.kruskal_certify(d)
+        rep = decomposition.kruskal_certify(d, tols["rankTol"])
         emit({"kruskal_ranks": list(rep.kruskal_ranks), "rank": rep.rank,
               "certified": rep.certified, "margin": rep.margin})
         return EXIT_OK if rep.certified else EXIT_UNKNOWN
@@ -388,7 +388,7 @@ def _dispatch(args, tols) -> int:
     if verb == "omega":
         h = _load_tensor(args.input)
         powers = _dims_arg(args.k)
-        res = psd_sos.multiplier_hsos_test(h, powers)
+        res = psd_sos.multiplier_hsos_test(h, powers, eig_tol=tols["eigTol"])
         if res.certificate is not None:
             _maybe_save_gram(args, res.certificate)
         emit({"status": res.status, "powers": list(res.powers),

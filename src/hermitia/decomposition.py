@@ -134,7 +134,7 @@ def _kruskal_rank(vectors: list[np.ndarray], rel_tol: float = linalg.RANK_REL_TO
     return min(r, n)
 
 
-def kruskal_certify(d: HermitianDecomposition) -> KruskalReport:
+def kruskal_certify(d: HermitianDecomposition, rel_tol: float = linalg.RANK_REL_TOL) -> KruskalReport:
     """Certify minimality of a decomposition via the Kruskal condition.
 
     With k_i the Kruskal rank of the mode-i vector set, the condition
@@ -149,7 +149,7 @@ def kruskal_certify(d: HermitianDecomposition) -> KruskalReport:
     for lam, vectors in d.terms:
         if lam == 0.0 or any(float(np.linalg.norm(v)) == 0.0 for v in vectors):
             raise DegenerateTerm("terms must have nonzero coefficients and vectors")
-    ks = tuple(_kruskal_rank(d.mode_vectors(k)) for k in range(1, d.order + 1))
+    ks = tuple(_kruskal_rank(d.mode_vectors(k), rel_tol) for k in range(1, d.order + 1))
     total = sum(ks)
     return KruskalReport(ks, r, total >= r + d.order, total - (r + d.order))
 

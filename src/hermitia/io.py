@@ -16,6 +16,9 @@ from . import core
 from .decomposition import HermitianDecomposition
 from .errors import FormatError
 
+# Largest N = n1...nm an HTEN file may declare; the loader allocates N x N.
+MAX_N = 4096
+
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
@@ -92,6 +95,8 @@ def loads_hten(text: str) -> core.HermitianTensor:
     dims = core.check_dims(dims)
     m = len(dims)
     n = core.size_of(dims)
+    if n > MAX_N:
+        raise FormatError(f"dims {dims} give N = {n}, above the limit {MAX_N}")
     mat = np.zeros((n, n), dtype=np.complex128)
     while lines.peek() is not None:
         tokens = lines.next("entry").split()

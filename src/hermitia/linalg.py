@@ -1,14 +1,10 @@
-"""Dense complex matrix kernels: Jacobi eigensolver, ranks, psd projection.
+"""Dense complex matrix kernels: eigensolver, ranks, psd projection.
 
-The eigensolver is a cyclic complex Jacobi iteration: each rotation
-unitarily annihilates one off-diagonal pair, sweeping until the
-off-diagonal Frobenius mass drops below tolerance.  Singular values are
-obtained from the eigenvalues of A*A, reusing the one kernel.
+Every kernel runs on numpy's LAPACK bindings (``eigh`` and ``svd``).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +13,6 @@ from .errors import NoConvergence, SymmetryViolation, ZeroTensor
 
 EIG_TOL = 1e-10
 RANK_REL_TOL = 1e-8
-MAX_SWEEPS = 64
 
 
 @dataclass(frozen=True)
@@ -43,126 +38,46 @@ def _check_hermitian(a, tol_scale: float = 1e-8) -> np.ndarray:
     return (a + a.conj().T) / 2.0
 
 
-def herm_eig(a, eig_tol: float = EIG_TOL, max_sweeps: int = MAX_SWEEPS) -> SpectralDecomp:
+def herm_eig(a) -> SpectralDecomp:
     """Full spectral decomposition of a Hermitian matrix.
 
-    Cyclic Jacobi: for each pivot (p, q) the 2x2 principal block is
-    diagonalized by a unitary rotation; sweeps repeat until
-    off(A) <= eig_tol * ||A||_F.  Real symmetric input stays exactly real.
+    Real symmetric input is solved as a real problem, so its eigenvectors
+    stay exactly real.
     """
     a = _check_hermitian(a)
     n = a.shape[0]
     if n == 1:
         return SpectralDecomp(a.real.reshape(1).copy(), np.ones((1, 1), dtype=np.complex128))
-    fro = float(np.linalg.norm(a))
-    v = np.eye(n, dtype=np.complex128)
-    if fro == 0.0:
-        return SpectralDecomp(np.zeros(n), v)
-    target = eig_tol * fro
-    skip = 0.05 * target / n
-    converged = False
-    for _ in range(max_sweeps):
-        offmass = float(np.linalg.norm(a - np.diag(np.diagonal(a))))
-        if offmass <= target:
-            converged = True
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                h = a[p, q]
-                ah = abs(h)
-                if ah <= skip:
-                    continue
-                phase = h / ah
-                app = a[p, p].real
-                aqq = a[q, q].real
-                tau = (aqq - app) / (2.0 * ah)
-                if tau >= 0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                # U = diag(1, conj(phase)) @ [[c, s], [-s, c]]
-                u = np.array(
-                    [[c, s], [-s * np.conj(phase), c * np.conj(phase)]],
-                    dtype=np.complex128,
-                )
-                cols = a[:, (p, q)] @ u
-                a[:, p] = cols[:, 0]
-                a[:, q] = cols[:, 1]
-                rows = u.conj().T @ a[(p, q), :]
-                a[p, :] = rows[0]
-                a[q, :] = rows[1]
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                a[p, p] = a[p, p].real
-                a[q, q] = a[q, q].real
-                vc = v[:, (p, q)] @ u
-                v[:, p] = vc[:, 0]
-                v[:, q] = vc[:, 1]
-    if not converged:
-        offmass = float(np.linalg.norm(a - np.diag(np.diagonal(a))))
-        if offmass > target:
-            raise NoConvergence(
-                f"Jacobi sweeps exhausted: off-diagonal mass {offmass:.3e} > {target:.3e}"
-            )
-    w = np.diagonal(a).real.copy()
-    order = np.argsort(w, kind="stable")
-    return SpectralDecomp(w[order], np.ascontiguousarray(v[:, order]))
+    if not np.any(a):
+        return SpectralDecomp(np.zeros(n), np.eye(n, dtype=np.complex128))
+    try:
+        w, v = np.linalg.eigh(a if np.any(a.imag) else a.real)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"Hermitian eigensolver failed: {exc}") from exc
+    return SpectralDecomp(w, v.astype(np.complex128, copy=False))
 
 
 def singular_values(a) -> np.ndarray:
-    """Singular values, descending, via the eigenvalues of A*A (or AA*)."""
+    """Singular values, descending."""
     a = np.asarray(a, dtype=np.complex128)
     if a.ndim != 2:
         a = a.reshape(a.shape[0], -1)
     if a.size == 0:
         return np.zeros(0)
-    g = a @ a.conj().T if a.shape[0] <= a.shape[1] else a.conj().T @ a
-    w = herm_eig(g).eigenvalues
-    return np.sqrt(np.clip(w, 0.0, None))[::-1].copy()
+    return np.linalg.svd(a, compute_uv=False)
 
 
 def matrix_rank(a, rel_tol: float = RANK_REL_TOL) -> int:
-    """Count of singular values above rel_tol * (largest singular value).
-
-    The Gram route computes tiny singular values with absolute noise near
-    sqrt(eps) * s_max, right at the default threshold, so directions well
-    above each pass's own noise floor are peeled off and the residual is
-    re-measured at its own scale until it drops below the cut.
-    """
-    a = np.asarray(a, dtype=np.complex128)
-    if a.ndim != 2:
-        a = a.reshape(a.shape[0], -1)
-    if a.size == 0:
+    """Count of singular values above rel_tol * (largest singular value)."""
+    s = singular_values(a)
+    if s.size == 0 or s[0] <= 0.0:
         return 0
-    wide = a.shape[0] > a.shape[1]
-    b = a.conj().T if wide else a
-    s = singular_values(b)
-    s_max = float(s[0])
-    if s_max <= 0.0:
-        return 0
-    rank = 0
-    limit = min(b.shape)
-    for _ in range(limit):
-        g = b @ b.conj().T
-        sd = herm_eig(g)
-        sig = np.sqrt(np.clip(sd.eigenvalues, 0.0, None))[::-1]
-        if sig[0] <= rel_tol * s_max:
-            break
-        floor = max(rel_tol * s_max, 1e-7 * float(sig[0]))
-        k = max(1, int(np.count_nonzero(sig > floor)))
-        vecs = sd.eigenvectors[:, ::-1][:, :k]
-        rank += k
-        if rank >= limit:
-            break
-        b = b - vecs @ (vecs.conj().T @ b)
-    return min(rank, limit)
+    return int(np.count_nonzero(s > rel_tol * s[0]))
 
 
-def psd_project(a, eig_tol: float = EIG_TOL) -> np.ndarray:
+def psd_project(a) -> np.ndarray:
     """Frobenius-nearest positive semidefinite matrix (eigenvalues clipped at 0)."""
-    sd = herm_eig(_check_hermitian(a))
+    sd = herm_eig(a)
     w = np.clip(sd.eigenvalues, 0.0, None)
     v = sd.eigenvectors
     out = (v * w) @ v.conj().T

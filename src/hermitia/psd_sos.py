@@ -33,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import core, flatten, linalg, real_herm, spectral
-from .errors import BasisTooLarge, ShapeMismatch
+from .errors import BasisTooLarge, RealityViolation, ShapeMismatch
 
 GRAM_TOL = 1e-7
 WIT_TOL = 1e-9
@@ -479,7 +479,7 @@ def psd_verdict(
     if field == "REAL":
         try:
             ok, _ = real_herm.is_real_decomposable(h)
-        except Exception:
+        except RealityViolation:
             ok = False
         multiplier_ok = ok
         if ok:

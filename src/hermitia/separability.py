@@ -26,7 +26,7 @@ import numpy as np
 
 from . import core, flatten, linalg, psd_sos, real_herm, spectral
 from .decomposition import HermitianDecomposition, residual
-from .errors import BlockNotPsd, ShapeMismatch
+from .errors import BlockNotPsd, RealityViolation, ShapeMismatch
 
 SEP_TOL = 1e-7
 WIT_TOL = psd_sos.WIT_TOL
@@ -309,7 +309,7 @@ def separability_pipeline(
     if field_name == "REAL":
         try:
             ok, witness = real_herm.is_real_decomposable(a)
-        except Exception:
+        except RealityViolation:
             ok, witness = False, None
         if not ok:
             return SepVerdict(

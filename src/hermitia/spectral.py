@@ -19,8 +19,6 @@ simple).
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,14 +32,6 @@ R1_TOL = 1e-7
 DEDUP_VALUE_TOL = 1e-6
 DEFAULT_STARTS = 16
 MAX_BLOCK_SWEEPS = 500
-
-
-def _threads() -> int:
-    raw = os.environ.get("HERMITIA_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def mode_matrix(h: core.HermitianTensor, xs, k: int) -> np.ndarray:
@@ -172,14 +162,7 @@ def herm_eigenpair(
         for direction in ("min", "max"):
             jobs.append((tuple(x0), direction))
 
-    workers = _threads()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(lambda j: _run_start(h, j[0], field, j[1], tol, max_sweeps), jobs)
-            )
-    else:
-        results = [_run_start(h, x0, field, direction, tol, max_sweeps) for x0, direction in jobs]
+    results = [_run_start(h, x0, field, direction, tol, max_sweeps) for x0, direction in jobs]
 
     kept: list[EigenTuple] = []
     failed = 0

@@ -105,6 +105,36 @@ def test_kruskal_verb(tmp_path, capsys):
     assert "certified: True" in capsys.readouterr().out
 
 
+def test_kruskal_honours_rank_tol(tmp_path):
+    # mode vectors 1e-6 rad apart: independent at the default rankTol,
+    # parallel once rankTol exceeds their singular-value ratio
+    theta = 1e-6
+    u = np.array([1.0, 0.0], dtype=complex)
+    w = np.array([np.cos(theta), np.sin(theta)], dtype=complex)
+    d = dec.HermitianDecomposition((2, 2), ((1.0, (u, u)), (1.0, (w, w))))
+    path = tmp_path / "d.hdec"
+    hio.save_hdec(path, d)
+    assert run(["kruskal", str(path)]) == 0
+    assert run(["--tol", "rankTol=1e-5", "kruskal", str(path)]) == 2
+
+
+def test_omega_honours_eig_tol(tmp_path):
+    # the identity tensor minus a little more than its 1111 entry: the
+    # multiplier Gram matrix has a -1e-6 eigenvalue
+    e = core.basis_tensor((1, 1), (1, 1), 1.0, (2, 2))
+    h = core.validate((2, 2), core.identity_tensor((2, 2)).mat - (1.0 + 1e-6) * e.mat)
+    path = tmp_path / "h.hten"
+    hio.save_hten(path, h)
+    assert run(["omega", str(path), "--k", "1,1"]) == 2
+    assert run(["--tol", "eigTol=1e-4", "omega", str(path), "--k", "1,1"]) == 0
+
+
+def test_oversized_hten_exit_65(tmp_path):
+    big = tmp_path / "big.hten"
+    big.write_text("HTEN 1\ndims 100000 100000\n")
+    assert run(["info", str(big)]) == 65
+
+
 def test_eig_deterministic_given_seed(hankel_file, capsys):
     assert run(["--json", "--seed", "4", "eig", hankel_file, "--starts", "4"]) == 0
     first = capsys.readouterr().out

@@ -37,6 +37,19 @@ class TestHten:
         with pytest.raises(FormatError):
             hio.loads_hten("HTEN 2\ndims 2\n")
 
+    def test_oversized_dims_rejected_before_allocation(self, monkeypatch):
+        zeros = np.zeros
+
+        def small_zeros(shape, *args, **kwargs):
+            assert np.prod(shape) <= hio.MAX_N ** 2, f"allocation of shape {shape}"
+            return zeros(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "zeros", small_zeros)
+        with pytest.raises(FormatError, match="limit"):
+            hio.loads_hten("HTEN 1\ndims 100000 100000\n")
+        with pytest.raises(FormatError, match="limit"):
+            hio.loads_hten(f"HTEN 1\ndims {hio.MAX_N + 1}\n")
+
     def test_lower_pair_rejected(self):
         with pytest.raises(FormatError):
             hio.loads_hten("HTEN 1\ndims 2 2\n2 2 1 1 1 0\n")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hermitia import linalg
-from hermitia.errors import SymmetryViolation, ZeroTensor
+from hermitia.errors import NoConvergence, SymmetryViolation, ZeroTensor
 
 from conftest import random_unitary
 
@@ -83,6 +83,14 @@ class TestHermEig:
         assert np.allclose(sd.eigenvalues, 0.0)
         assert np.allclose(sd.eigenvectors, np.eye(3))
 
+    def test_lapack_failure_is_no_convergence(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(NoConvergence):
+            linalg.herm_eig(np.diag([1.0, 2.0]))
+
 
 class TestMatrixRank:
     def test_zero(self):
@@ -159,8 +167,7 @@ class TestRank1Factor:
 
 
 def test_matrix_rank_random_rank_deficient(rng):
-    # the Gram route's noise floor sits at the threshold; the deflation
-    # refinement must still classify random low-rank products exactly
+    # random low-rank products over six decades of scale are classified exactly
     for _ in range(150):
         n = int(rng.integers(3, 13))
         r = int(rng.integers(1, n))
@@ -168,3 +175,14 @@ def test_matrix_rank_random_rank_deficient(rng):
         y = rng.standard_normal((r, n)) + 1j * rng.standard_normal((r, n))
         a = (x @ y) * (10.0 ** rng.integers(-3, 4))
         assert linalg.matrix_rank(a) == r
+
+
+def test_matrix_rank_wide_singular_value_span(rng):
+    # nonzero singular values from 1 down to 1e-6: a rank computed from the
+    # Gram matrix A*A would see a 1e12 spread, the SVD sees 1e6
+    n, r = 64, 40
+    u = random_unitary(rng, n)[:, :r]
+    v = random_unitary(rng, n)[:, :r]
+    a = (u * np.logspace(0.0, -6.0, r)) @ v.conj().T
+    assert linalg.matrix_rank(a) == r
+    assert linalg.matrix_rank(a.conj().T) == r

@@ -160,3 +160,14 @@ class TestPsdVerdict:
         # CSOS; multiplier search may or may not certify at low effort
         res = ps.psd_verdict(csos_not_hsos_tensor(), field="COMPLEX", effort=1)
         assert res.status in ("PSD_CERTIFIED", "UNKNOWN")
+
+
+def test_real_branch_propagates_unexpected_errors(monkeypatch):
+    from hermitia import real_herm
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("bug in the reality check")
+
+    monkeypatch.setattr(real_herm, "is_real_decomposable", broken)
+    with pytest.raises(RuntimeError, match="bug in the reality check"):
+        ps.psd_verdict(cr_psd_ii_tensor(), field="REAL", effort=0)

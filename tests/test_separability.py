@@ -181,3 +181,14 @@ class TestPipeline:
         assert real_herm.is_real_decomposable(a)[0]
         r = sep.realify_decomposition(phased)
         assert sep.verify_positive_decomposition(r, a, "REAL")
+
+
+def test_pipeline_real_branch_propagates_unexpected_errors(monkeypatch):
+    from hermitia import real_herm
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("bug in the reality check")
+
+    monkeypatch.setattr(real_herm, "is_real_decomposable", broken)
+    with pytest.raises(RuntimeError, match="bug in the reality check"):
+        sep.separability_pipeline(tensor_62(), "REAL", effort=1, seed=0)
