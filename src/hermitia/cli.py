@@ -64,10 +64,6 @@ def _dims_arg(text: str) -> tuple[int, ...]:
         raise _UsageError(f"bad dims {text!r}: {exc}") from exc
 
 
-def _index_arg(text: str) -> tuple[int, ...]:
-    return _dims_arg(text)
-
-
 def _complex_arg(text: str) -> complex:
     try:
         return complex(text.replace(" ", ""))
@@ -284,10 +280,10 @@ def _dispatch(args, tols) -> int:
 
     if verb == "basis-decompose":
         dims = _dims_arg(args.dims)
-        d = decomposition.basis_decomposition(_index_arg(args.I), _index_arg(args.J),
+        d = decomposition.basis_decomposition(_dims_arg(args.I), _dims_arg(args.J),
                                               _complex_arg(args.c), dims)
         _maybe_save_hdec(args, d)
-        bt = core.basis_tensor(_index_arg(args.I), _index_arg(args.J), _complex_arg(args.c), dims)
+        bt = core.basis_tensor(_dims_arg(args.I), _dims_arg(args.J), _complex_arg(args.c), dims)
         emit({"terms": len(d), "residual": decomposition.residual(d, bt)})
         return EXIT_OK
 
@@ -398,7 +394,8 @@ def _dispatch(args, tols) -> int:
     if verb == "psd":
         h = _load_tensor(args.input)
         res = psd_sos.psd_verdict(h, field=args.field, effort=args.effort,
-                                  seed=args.seed, wit_tol=tols["witTol"])
+                                  seed=args.seed, wit_tol=tols["witTol"], eig_tol=tols["eigTol"],
+                                  eig_tuple_tol=tols["eigTupleTol"])
         report = {"status": res.status, "field": res.field, "note": res.note, "seed": args.seed}
         if res.witness_value is not None:
             report["witness_value"] = res.witness_value
@@ -434,7 +431,7 @@ def _dispatch(args, tols) -> int:
         h = _load_tensor(args.input)
         res = separability.separability_pipeline(h, args.field, effort=args.effort,
                                                  seed=args.seed, sep_tol=tols["sepTol"],
-                                                 wit_tol=tols["witTol"])
+                                                 wit_tol=tols["witTol"], eig_tol=tols["eigTol"])
         report = {"status": res.status, "field": res.field, "note": res.note, "seed": args.seed}
         if res.witness_value is not None:
             report["witness_value"] = res.witness_value

@@ -165,10 +165,14 @@ def check_vector_tuple(dims, vectors) -> tuple[np.ndarray, ...]:
 
 
 def kron_vector(vectors) -> np.ndarray:
-    """vec(u1 x ... x um) in the lexicographic (mode-1 major) ordering."""
-    out = np.asarray(vectors[0], dtype=np.complex128).reshape(-1)
+    """vec(u1 x ... x um) in the lexicographic (mode-1 major) ordering.
+
+    Stacked vectors (..., n_k) give the products row by row, (..., N).
+    """
+    out = np.asarray(vectors[0], dtype=np.complex128)
     for v in vectors[1:]:
-        out = np.kron(out, np.asarray(v, dtype=np.complex128).reshape(-1))
+        v = np.asarray(v, dtype=np.complex128)
+        out = (out[..., :, None] * v[..., None, :]).reshape(out.shape[:-1] + (-1,))
     return out
 
 

@@ -74,14 +74,19 @@ class HermitianDecomposition:
         return [vs[k - 1] for _, vs in self.terms]
 
 
+def _rank1_sum(lams, zs) -> np.ndarray:
+    """sum_j lams[j] z_j z_j^* for the rows z_j of ``zs`` (r, N), by one
+    matmul; leading batch axes on both arguments give one sum per batch."""
+    zs = np.asarray(zs, dtype=np.complex128)
+    return (np.swapaxes(zs, -1, -2) * np.asarray(lams, dtype=float)[..., None, :]) @ zs.conj()
+
+
 def assemble(d: HermitianDecomposition) -> core.HermitianTensor:
-    """Sum of the rank-1 terms; exactly Hermitian by construction."""
+    """Sum of the rank-1 terms, symmetrized to be exactly Hermitian."""
     n = core.size_of(d.dims)
-    mat = np.zeros((n, n), dtype=np.complex128)
-    for lam, vectors in d.terms:
-        z = core.kron_vector(vectors)
-        mat += lam * np.outer(z, z.conj())
-    return core.HermitianTensor(d.dims, mat)
+    zs = np.array([core.kron_vector(vectors) for _, vectors in d.terms]).reshape(-1, n)
+    mat = _rank1_sum(d.coefficients(), zs)
+    return core.HermitianTensor(d.dims, (mat + mat.conj().T) / 2.0)
 
 
 def residual(d: HermitianDecomposition, h: core.HermitianTensor) -> float:

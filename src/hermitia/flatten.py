@@ -160,15 +160,14 @@ def verify_M_rank(mat, d, rel_tol: float = 1e-9) -> bool:
     products of rank-1 Hermitian matrices, certifying its structured rank
     (and hence the Hermitian rank of the unflattened tensor) is at most
     the term count."""
+    from .decomposition import assemble  # decomposition imports this module
+
     arr = _as_m_matrix(mat)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ShapeMismatch(f"expected a square matrix, got {arr.shape}")
     n = core.size_of(d.dims)
     if arr.shape[0] != n:
         raise ShapeMismatch(f"matrix size {arr.shape[0]} does not match shape {d.dims}")
-    acc = np.zeros_like(arr)
-    for lam, vectors in d.terms:
-        z = core.kron_vector(vectors)
-        acc += lam * np.outer(z, z.conj())
+    acc = assemble(d).mat
     scale = float(np.linalg.norm(arr))
     return float(np.linalg.norm(acc - arr)) <= rel_tol * max(scale, 1e-300)

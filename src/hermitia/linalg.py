@@ -17,14 +17,18 @@ RANK_REL_TOL = 1e-8
 
 @dataclass(frozen=True)
 class SpectralDecomp:
-    """Eigenvalues ascending; eigenvectors as the matching unitary columns."""
+    """Eigenvalues ascending; eigenvectors as the matching unitary columns.
+
+    For a stack of B matrices the arrays carry a leading batch axis:
+    eigenvalues (B, n), eigenvectors (B, n, n).
+    """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
     def reconstruct(self) -> np.ndarray:
         v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
+        return (v * self.eigenvalues[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
 
 
 def _check_hermitian(a, tol_scale: float = 1e-8) -> np.ndarray:
@@ -38,23 +42,53 @@ def _check_hermitian(a, tol_scale: float = 1e-8) -> np.ndarray:
     return (a + a.conj().T) / 2.0
 
 
-def herm_eig(a) -> SpectralDecomp:
-    """Full spectral decomposition of a Hermitian matrix.
+def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    try:
+        w, v = np.linalg.eigh(a if np.any(a.imag) else a.real)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"Hermitian eigensolver failed: {exc}") from exc
+    return w, v.astype(np.complex128, copy=False)
 
-    Real symmetric input is solved as a real problem, so its eigenvectors
-    stay exactly real.
+
+def herm_eig(a) -> SpectralDecomp:
+    """Full spectral decomposition of a Hermitian matrix, or of a stack
+    ``(B, n, n)`` of them solved by one LAPACK call.
+
+    Real symmetric input (for a stack: every member real) is solved as a
+    real problem, so its eigenvectors stay exactly real.  A zero matrix
+    gets identity eigenvectors.
     """
+    if np.ndim(a) == 3:
+        return _herm_eig_stack(np.asarray(a, dtype=np.complex128))
     a = _check_hermitian(a)
     n = a.shape[0]
     if n == 1:
         return SpectralDecomp(a.real.reshape(1).copy(), np.ones((1, 1), dtype=np.complex128))
     if not np.any(a):
         return SpectralDecomp(np.zeros(n), np.eye(n, dtype=np.complex128))
-    try:
-        w, v = np.linalg.eigh(a if np.any(a.imag) else a.real)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"Hermitian eigensolver failed: {exc}") from exc
-    return SpectralDecomp(w, v.astype(np.complex128, copy=False))
+    return SpectralDecomp(*_eigh(a))
+
+
+def _herm_eig_stack(a: np.ndarray, tol_scale: float = 1e-8) -> SpectralDecomp:
+    b, n, n2 = a.shape
+    if n != n2:
+        raise SymmetryViolation(f"expected a stack of square matrices, got shape {a.shape}")
+    ah = np.swapaxes(a.conj(), 1, 2)
+    scale = np.abs(a).max(axis=(1, 2), initial=0.0)
+    dev = np.abs(a - ah).max(axis=(1, 2), initial=0.0)
+    bad = np.flatnonzero(dev > tol_scale * np.maximum(1.0, scale))
+    if bad.size:
+        raise SymmetryViolation(
+            f"stack member {bad[0]} is not Hermitian: deviation {dev[bad[0]]:.3e}")
+    a = (a + ah) / 2.0
+    if n == 1:
+        return SpectralDecomp(a.real.reshape(b, 1).copy(), np.ones((b, 1, 1), dtype=np.complex128))
+    w, v = _eigh(a)
+    zero = scale == 0.0
+    if zero.any():
+        w[zero] = 0.0
+        v[zero] = np.eye(n)
+    return SpectralDecomp(w, v)
 
 
 def singular_values(a) -> np.ndarray:
@@ -84,21 +118,16 @@ def psd_project(a) -> np.ndarray:
     return (out + out.conj().T) / 2.0
 
 
-def dominant_eigvec(a, largest: bool = True) -> tuple[float, np.ndarray]:
-    """Extreme eigenpair of a Hermitian matrix (largest or smallest eigenvalue)."""
-    sd = herm_eig(a)
-    idx = -1 if largest else 0
-    return float(sd.eigenvalues[idx]), sd.eigenvectors[:, idx].copy()
-
-
 def phase_normalize(v: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Rotate a vector so its first significant entry is real positive."""
+    """Rotate a vector, or each row of ``(..., n)``, so its first
+    significant entry is real positive."""
     v = np.asarray(v, dtype=np.complex128)
-    nz = np.nonzero(np.abs(v) > tol * max(1.0, float(np.abs(v).max(initial=0.0))))[0]
-    if nz.size == 0:
-        return v.copy()
-    pivot = v[nz[0]]
-    return v * (np.conj(pivot) / abs(pivot))
+    mag = np.abs(v)
+    sig = mag > tol * np.maximum(1.0, mag.max(axis=-1, initial=0.0, keepdims=True))
+    pivot = np.take_along_axis(v, sig.argmax(axis=-1)[..., None], axis=-1)
+    size = np.abs(pivot)
+    rot = np.conj(pivot) / np.where(size > 0.0, size, 1.0)
+    return v * np.where(sig.any(axis=-1, keepdims=True), rot, 1.0)
 
 
 def rank1_factor(t) -> tuple[list[np.ndarray], float]:
@@ -116,8 +145,7 @@ def rank1_factor(t) -> tuple[list[np.ndarray], float]:
     factors: list[np.ndarray] = []
     for _ in range(t.ndim - 1):
         x = cur.reshape(cur.shape[0], -1)
-        _, u = dominant_eigvec(x @ x.conj().T, largest=True)
-        u = phase_normalize(u)
+        u = phase_normalize(herm_eig(x @ x.conj().T).eigenvectors[:, -1])
         u = u / np.linalg.norm(u)
         factors.append(u)
         cur = np.tensordot(u.conj(), cur, axes=(0, 0))

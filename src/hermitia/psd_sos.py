@@ -455,6 +455,8 @@ def psd_verdict(
     effort: int = 2,
     seed: int = 0,
     wit_tol: float = WIT_TOL,
+    eig_tol: float = linalg.EIG_TOL,
+    eig_tuple_tol: float = spectral.EIG_TUPLE_TOL,
 ) -> PsdVerdict:
     """Combined positivity verdict over the requested field.
 
@@ -466,11 +468,11 @@ def psd_verdict(
     """
     if field not in ("COMPLEX", "REAL"):
         raise ShapeMismatch(f"unknown field {field!r}")
-    search = spectral.herm_eigenpair(h, seed=seed, field=field)
+    search = spectral.herm_eigenpair(h, seed=seed, field=field, tol=eig_tuple_tol)
     if search.tuples and search.tuples[0].value < -wit_tol:
         t = search.tuples[0]
         return PsdVerdict("NOT_PSD_WITNESS", field, witness=t.vectors, witness_value=t.value)
-    hs = hsos_test(h)
+    hs = hsos_test(h, eig_tol)
     if hs.is_hsos:
         return PsdVerdict("PSD_CERTIFIED", field, certificate=hs.certificate,
                           note="flattening psd (holomorphic sum of squares)")
@@ -493,7 +495,7 @@ def psd_verdict(
                 if sum(powers) != total:
                     continue
                 try:
-                    res = multiplier_hsos_test(h, powers)
+                    res = multiplier_hsos_test(h, powers, eig_tol=eig_tol)
                 except BasisTooLarge:
                     continue
                 if res.status == "MEMBER":

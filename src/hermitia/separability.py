@@ -25,10 +25,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import core, flatten, linalg, psd_sos, real_herm, spectral
-from .decomposition import HermitianDecomposition, residual
+from .decomposition import HermitianDecomposition, _rank1_sum, residual
 from .errors import BlockNotPsd, RealityViolation, ShapeMismatch
 
 SEP_TOL = 1e-7
+SEARCH_STARTS = 8
 WIT_TOL = psd_sos.WIT_TOL
 
 
@@ -168,80 +169,140 @@ def dual_witness_check(
     return DualWitnessResult("INCONCLUSIVE", val)
 
 
-def _mode_matrix_of_residual(res_mat: np.ndarray, dims, vectors, k: int) -> np.ndarray:
-    h = core.HermitianTensor(dims, (res_mat + res_mat.conj().T) / 2.0)
-    return spectral.mode_matrix(h, vectors, k)
-
-
 def separable_search(
     a: core.HermitianTensor,
     r: int,
     seed: int,
     iters: int = 200,
-    starts: int = 8,
+    starts: int = SEARCH_STARTS,
     sep_tol: float = SEP_TOL,
 ) -> SepVerdict:
     """Alternating fit of r positive rank-1 terms.
 
     Per sweep, each term's mode vectors are set to the top eigenvector of
     the residual contraction and the coefficients are refit by least
-    squares, clamped positive.  Certifies separability on success and
-    returns UNKNOWN otherwise (refutation needs a dual witness).
+    squares, clamped positive.  All starts advance in lock-step; the
+    result is the first start (in start order) to fit within tolerance,
+    else the one with the smallest residual.  Certifies separability on
+    success and returns UNKNOWN otherwise (refutation needs a dual
+    witness).
     """
     if r < 1:
         raise ShapeMismatch("rank budget r must be >= 1")
+    return _budget_search(a, {r: seed}, iters, starts, sep_tol, lambda _, v: v)
+
+
+def _budget_search(a, seeds, iters, starts, sep_tol, finish):
+    """``separable_search`` at every rank budget r in ``seeds`` (r -> seed),
+    all budgets and starts in lock-step.
+
+    Rows are budget-major; terms are padded to the largest budget with
+    zero vectors and zero coefficients, which add nothing to a residual.
+    When a budget's search ends, ``finish(r, verdict)`` maps its verdict
+    to a result or None, and a result stops every larger budget.  Returns
+    the result of the smallest budget that gave one, else None: what
+    calling ``separable_search`` budget by budget in ascending order would
+    give.
+    """
     anorm = core.norm(a)
-    if anorm <= 1e-14:
-        return SepVerdict("SEPARABLE_CERTIFIED", decomposition=HermitianDecomposition(a.dims, ()),
-                          note="zero tensor: empty positive decomposition")
     mrank = linalg.matrix_rank(a.mat)
-    if mrank > r:
-        return SepVerdict("UNKNOWN",
-                          note=f"flattening rank {mrank} exceeds the budget r={r}; "
-                               "no decomposition of that length exists")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    best = None
-    best_res = np.inf
-    for _ in range(starts):
-        vecs = [
-            tuple(_random_unit(rng, n) for n in a.dims)
-            for _ in range(r)
-        ]
-        lams = np.full(r, anorm / max(r, 1))
-        zs = [core.kron_vector(v) for v in vecs]
-        res = np.inf
-        for _ in range(iters):
-            for i in range(r):
-                res_mat = a.mat - sum(
-                    lams[j] * np.outer(zs[j], zs[j].conj()) for j in range(r) if j != i
-                )
-                for k in range(1, a.order + 1):
-                    mk = _mode_matrix_of_residual(res_mat, a.dims, vecs[i], k)
-                    w, v = linalg.dominant_eigvec(mk, largest=True)
-                    if w <= 0:
-                        v = _random_unit(rng, a.dims[k - 1])
-                    v = linalg.phase_normalize(v)
-                    vecs[i] = vecs[i][: k - 1] + (v / np.linalg.norm(v),) + vecs[i][k:]
-                zs[i] = core.kron_vector(vecs[i])
-            gram = np.abs(np.array([[np.vdot(zi, zj) for zj in zs] for zi in zs])) ** 2
-            rhs = np.array([float(np.real(np.vdot(zi, a.mat @ zi))) for zi in zs])
-            sol, *_ = np.linalg.lstsq(gram, rhs, rcond=None)
-            lams = np.clip(sol, 1e-12, None)
-            res = float(
-                np.linalg.norm(a.mat - sum(lams[j] * np.outer(zs[j], zs[j].conj()) for j in range(r)))
-            )
-            if res <= 0.2 * sep_tol * anorm:
-                break
-        if res < best_res:
-            best_res = res
-            best = HermitianDecomposition(
-                a.dims, tuple((float(lams[j]), vecs[j]) for j in range(r))
-            )
-        if best_res <= 0.2 * sep_tol * anorm:
+    results, budgets = {}, []
+    for r in sorted(seeds):
+        if anorm <= 1e-14:
+            fixed = SepVerdict("SEPARABLE_CERTIFIED", decomposition=HermitianDecomposition(a.dims, ()),
+                               note="zero tensor: empty positive decomposition")
+        elif mrank > r:
+            fixed = SepVerdict("UNKNOWN", note=f"flattening rank {mrank} exceeds the budget r={r}; "
+                                               "no decomposition of that length exists")
+        else:
+            budgets.append(r)
+            continue
+        results[r] = finish(r, fixed)
+        if results[r] is not None:
+            return results[r]
+    if not budgets:
+        return None
+    rb = np.repeat(budgets, starts)  # the budget of every row
+    rmax = budgets[-1]
+    live_term = np.arange(rmax) < rb[:, None]
+    rngs = {r: np.random.Generator(np.random.PCG64(seeds[r])) for r in budgets}
+    # xs[k] holds mode k+1 of every row and term: (rows, rmax, n_k)
+    xs = [np.zeros((len(rb), rmax, n), dtype=np.complex128) for n in a.dims]
+    for row, r in enumerate(rb):
+        for i in range(r):
+            for x, n in zip(xs, a.dims):
+                x[row, i] = _random_unit(rngs[r], n)
+    lams = np.where(live_term, anorm / rb[:, None], 0.0)
+    zs = core.kron_vector(xs)
+    res = np.full(len(rb), np.inf)
+    act = np.arange(len(rb))  # rows still running
+    first_ok = np.full(len(budgets), starts)  # per budget, lowest start that fit
+    limit = len(budgets)  # budgets from this index on are stopped
+    thresh = 0.2 * sep_tol * anorm
+
+    def settle(running):
+        """Finish the budgets below ``limit`` that have no running row."""
+        nonlocal act, limit
+        for b in range(limit):
+            r = budgets[b]
+            if r in results or running[b]:
+                continue
+            rows = slice(b * starts, (b + 1) * starts)
+            pick = b * starts + (first_ok[b] if first_ok[b] < starts else int(np.argmin(res[rows])))
+            results[r] = finish(r, _fitted_verdict(a, lams[pick, :r], [x[pick, :r] for x in xs],
+                                                   res[pick], sep_tol))
+            if results[r] is not None:
+                limit = b + 1
+                act = act[act < limit * starts]
+                return
+
+    for _ in range(iters):
+        for i in range(rmax):
+            rows = act[rb[act] > i]
+            if not rows.size:
+                continue
+            others = lams[rows]
+            others[:, i] = 0.0
+            res_arr = (a.mat - _rank1_sum(others, zs[rows])).reshape((len(rows),) + a.dims * 2)
+            for k, n in enumerate(a.dims):
+                mk = spectral._mode_matrices(res_arr, [x[rows, i] for x in xs], k + 1)
+                sd = linalg.herm_eig(mk)
+                v = sd.eigenvectors[:, :, -1]
+                for j in np.flatnonzero(sd.eigenvalues[:, -1] <= 0):
+                    v[j] = _random_unit(rngs[rb[rows[j]]], n)
+                xs[k][rows, i] = v
+            zs[rows, i] = core.kron_vector([x[rows, i] for x in xs])
+        z = zs[act]
+        gram = np.abs(z.conj() @ np.swapaxes(z, 1, 2)) ** 2
+        rhs = np.real(np.einsum("bip,pq,biq->bi", z.conj(), a.mat, z))
+        # pinv at the cutoff lstsq(rcond=None) uses on the unpadded system;
+        # the zero rows and columns of padded terms are cut and solve to 0
+        sol = np.linalg.pinv(gram, rcond=np.finfo(float).eps * rb[act]) @ rhs[:, :, None]
+        lams[act] = np.clip(sol[:, :, 0], 1e-12, None) * live_term[act]
+        res[act] = np.linalg.norm(a.mat - _rank1_sum(lams[act], z), axis=(1, 2))
+        ok = res[act] <= thresh
+        np.minimum.at(first_ok, act[ok] // starts, act[ok] % starts)
+        # a fitted start stops; starts after its budget's first fitted one
+        # cannot win
+        act = act[~ok & (act % starts < first_ok[act // starts])]
+        settle(np.bincount(act // starts, minlength=len(budgets)) > 0)
+        if not act.size:
             break
-    if best is not None and verify_positive_decomposition(best, a, sep_tol=sep_tol):
-        return SepVerdict("SEPARABLE_CERTIFIED", decomposition=best)
-    return SepVerdict("UNKNOWN", note=f"best alternating-fit residual {best_res:.3e}")
+    settle(np.zeros(len(budgets), dtype=bool))
+    return next((results[r] for r in sorted(results) if results[r] is not None), None)
+
+
+def _fitted_verdict(a, lams, xs, res, sep_tol) -> SepVerdict:
+    if np.isfinite(res):
+        # every step of the search is blind to the phases of the vectors,
+        # so they are normalized once, on the result
+        vecs = [linalg.phase_normalize(x) for x in xs]
+        best = HermitianDecomposition(
+            a.dims, tuple((float(lams[j]), tuple(v[j] for v in vecs)) for j in range(len(lams)))
+        )
+        if verify_positive_decomposition(best, a, sep_tol=sep_tol):
+            return SepVerdict("SEPARABLE_CERTIFIED", decomposition=best)
+    return SepVerdict("UNKNOWN", note=f"best alternating-fit residual {res:.3e}")
 
 
 def _random_unit(rng, n: int) -> np.ndarray:
@@ -280,6 +341,7 @@ def separability_pipeline(
     iters: int = 200,
     sep_tol: float = SEP_TOL,
     wit_tol: float = WIT_TOL,
+    eig_tol: float = linalg.EIG_TOL,
 ) -> SepVerdict:
     """Necessary checks, then a positive-decomposition search.
 
@@ -287,12 +349,13 @@ def separability_pipeline(
     eigenvector q yields the auto-witness unflatten(q q*), which always
     carries its own psd certificate.  (2) Real separability additionally
     requires real decomposability.  (3) Alternating search at rank
-    budgets 1..effort; a complex certificate of a real-decomposable
+    budgets 1..effort, all run in lock-step, the smallest budget that
+    certifies winning; a complex certificate of a real-decomposable
     tensor transfers to the real field by vector splitting.
     """
     if field_name not in ("COMPLEX", "REAL"):
         raise ShapeMismatch(f"unknown field {field_name!r}")
-    hs = psd_sos.hsos_test(a)
+    hs = psd_sos.hsos_test(a, eig_tol)
     if not hs.is_hsos:
         q = hs.eigenvector
         b = flatten.hermitian_unflatten(np.outer(q, q.conj()), a.dims)
@@ -317,16 +380,19 @@ def separability_pipeline(
                 note=f"not real-Hermitian decomposable (witness {witness}); "
                      "hence not R-separable, but no dual certificate is produced",
             )
-    for r in range(1, max(1, effort) + 1):
-        found = separable_search(a, r, seed=seed + r, iters=iters, sep_tol=sep_tol)
+    def finish(r, found):
         if found.status != "SEPARABLE_CERTIFIED":
-            continue
+            return None
         if field_name == "REAL":
             realified = realify_decomposition(found.decomposition)
             if verify_positive_decomposition(realified, a, "REAL", sep_tol=sep_tol):
                 return SepVerdict("SEPARABLE_CERTIFIED", "REAL", decomposition=realified,
                                   note=f"complex certificate at r={r} transferred by vector splitting")
-            continue
+            return None
         return SepVerdict("SEPARABLE_CERTIFIED", "COMPLEX", decomposition=found.decomposition,
                           note=f"alternating search succeeded at r={r}")
-    return SepVerdict("UNKNOWN", field_name, note=f"search exhausted rank budgets 1..{effort}")
+
+    seeds = {r: seed + r for r in range(1, max(1, effort) + 1)}
+    found = _budget_search(a, seeds, iters, SEARCH_STARTS, sep_tol, finish)
+    return found or SepVerdict("UNKNOWN", field_name,
+                               note=f"search exhausted rank budgets 1..{effort}")

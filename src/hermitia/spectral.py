@@ -19,6 +19,7 @@ simple).
 
 from __future__ import annotations
 
+import string
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,24 @@ DEFAULT_STARTS = 16
 MAX_BLOCK_SWEEPS = 500
 
 
+def _mode_matrices(arr: np.ndarray, xs, k: int) -> np.ndarray:
+    """Stacked mode-k matrices, shape (B, n_k, n_k), by one ``einsum``.
+
+    ``arr`` has axes (hol 1..m, conj 1..m), optionally behind a batch axis
+    of length B; ``xs[s]`` is (B, n_s).  Every holomorphic slot s != k is
+    contracted with conj(x_s) and every conjugated slot with x_s.
+    """
+    m = len(xs)
+    hol, anti = string.ascii_lowercase[:m], string.ascii_uppercase[:m]
+    ops, subs = [arr], ["..." + hol + anti]
+    for s in range(m):
+        if s != k - 1:
+            ops += [xs[s].conj(), xs[s]]
+            subs += ["..." + hol[s], "..." + anti[s]]
+    out = np.einsum(",".join(subs) + "->..." + hol[k - 1] + anti[k - 1], *ops)
+    return out if out.ndim == 3 else np.broadcast_to(out, (len(xs[0]),) + out.shape)
+
+
 def mode_matrix(h: core.HermitianTensor, xs, k: int) -> np.ndarray:
     """Hermitian matrix M with H(x, conj(x)) = x_k^* M x_k.
 
@@ -41,21 +60,9 @@ def mode_matrix(h: core.HermitianTensor, xs, k: int) -> np.ndarray:
     conjugated slot with x_s.
     """
     vs = core.check_vector_tuple(h.dims, xs)
-    m = h.order
-    if not 1 <= k <= m:
-        raise ShapeMismatch(f"mode {k} outside 1..{m}")
-    arr = h.as_array()
-    # contract holomorphic axes with conj(x_s), descending so positions stay valid
-    for s in range(m, 0, -1):
-        if s == k:
-            continue
-        arr = np.tensordot(vs[s - 1].conj(), arr, axes=(0, s - 1))
-    # axes are now (hol k, conj 1, ..., conj m); contract the conjugated ones
-    for s in range(m, 0, -1):
-        if s == k:
-            continue
-        arr = np.tensordot(arr, vs[s - 1], axes=(s, 0))
-    return arr
+    if not 1 <= k <= h.order:
+        raise ShapeMismatch(f"mode {k} outside 1..{h.order}")
+    return _mode_matrices(h.as_array(), [v[None] for v in vs], k)[0].copy()
 
 
 def contract_k(h: core.HermitianTensor, xs, k: int) -> np.ndarray:
@@ -77,59 +84,78 @@ class EigenSearch:
     failed_starts: int
 
 
-def _extreme_update(mk: np.ndarray, current: np.ndarray, largest: bool):
-    """Extreme eigenpair of a mode matrix, resolved toward the current vector.
+def _field_modes(arr: np.ndarray, xs, k: int, field: str) -> np.ndarray:
+    mk = _mode_matrices(arr, xs, k)
+    if field == "REAL":
+        mk = (mk.real + np.swapaxes(mk.real, 1, 2)) / 2.0
+    return mk
+
+
+def _extreme_update(mk: np.ndarray, current: np.ndarray, largest: np.ndarray):
+    """Extreme eigenpairs of stacked mode matrices, resolved toward the
+    current vectors (row b takes the largest eigenvalue iff largest[b]).
 
     Within the extreme eigenspace (eigenvalues tied up to a small gap)
     the current vector's projection is kept, so degenerate modes do not
     oscillate between arbitrary eigenvectors.
     """
     sd = linalg.herm_eig(mk)
-    w = sd.eigenvalues
-    lam = float(w[-1] if largest else w[0])
-    gap = 1e-9 * (1.0 + abs(lam))
-    mask = (w >= lam - gap) if largest else (w <= lam + gap)
-    basis = sd.eigenvectors[:, mask]
-    proj = basis @ (basis.conj().T @ current)
-    nv = float(np.linalg.norm(proj))
-    if nv > 1e-8:
-        vec = proj / nv
-    else:
-        vec = basis[:, 0]
-    return lam, linalg.phase_normalize(vec)
+    w, v = sd.eigenvalues, sd.eigenvectors
+    lam = np.where(largest, w[:, -1], w[:, 0])
+    gap = (1e-9 * (1.0 + np.abs(lam)))[:, None]
+    mask = np.where(largest[:, None], w >= lam[:, None] - gap, w <= lam[:, None] + gap)
+    basis = v * mask[:, None, :]
+    proj = (basis @ (np.swapaxes(basis.conj(), 1, 2) @ current[:, :, None]))[:, :, 0]
+    nv = np.linalg.norm(proj, axis=1)[:, None]
+    first = v[np.arange(len(v)), :, mask.argmax(axis=1)]
+    return lam, np.where(nv > 1e-8, proj / np.where(nv > 1e-8, nv, 1.0), first)
 
 
-def _residuals(h, vs, lam, field):
-    out = []
-    for k in range(1, h.order + 1):
-        mk = mode_matrix(h, vs, k)
-        if field == "REAL":
-            mk = (mk.real + mk.real.T) / 2.0
-        out.append(float(np.linalg.norm(mk @ vs[k - 1] - lam * vs[k - 1])))
-    return tuple(out)
+def _residuals(arr, xs, lam, field) -> np.ndarray:
+    """Stationarity residuals ||M_k x_k - lam x_k||, one row per sequence."""
+    return np.stack([
+        np.linalg.norm((_field_modes(arr, xs, k, field) @ xs[k - 1][:, :, None])[:, :, 0]
+                       - lam[:, None] * xs[k - 1], axis=1)
+        for k in range(1, len(xs) + 1)
+    ], axis=1)
 
 
-def _run_start(h, x0, field, direction, tol, max_sweeps):
-    m = h.order
-    vs = list(x0)
-    lam = core.eval_poly(h, vs)
-    residuals = None
+def _lockstep(h, x0, largest, field, tol, max_sweeps) -> list[EigenTuple]:
+    """Block-coordinate sequences advanced together, one per row of
+    ``x0[s]`` (B, n_s); row b ascends iff largest[b].
+
+    A sequence leaves the batch once its eigenvalue is stationary and its
+    residuals are within ``tol / 2``.
+    """
+    arr = h.as_array()
+    xs = [np.array(x, dtype=np.complex128) for x in x0]
+    m1 = _field_modes(arr, xs, 1, field)
+    lam = np.real(np.einsum("bi,bij,bj->b", xs[0].conj(), m1, xs[0]))
+    res = np.full((len(lam), h.order), np.nan)
+    act = np.arange(len(lam))
     for _ in range(max_sweeps):
-        prev = lam
-        for k in range(1, m + 1):
-            mk = mode_matrix(h, vs, k)
-            if field == "REAL":
-                mk = (mk.real + mk.real.T) / 2.0
-            lam, w = _extreme_update(mk, vs[k - 1], largest=(direction == "max"))
-            vs[k - 1] = (w / np.linalg.norm(w)).astype(np.complex128)
-        if abs(lam - prev) <= 1e-12 * (1.0 + abs(lam)):
-            residuals = _residuals(h, vs, lam, field)
-            if max(residuals) <= 0.5 * tol:
-                break
-    if residuals is None:
-        residuals = _residuals(h, vs, lam, field)
-    lam = core.eval_poly(h, vs)
-    return EigenTuple(float(lam), tuple(vs), tuple(residuals))
+        if act.size == 0:
+            break
+        cur = [x[act] for x in xs]
+        prev = lam[act]
+        for k in range(1, h.order + 1):
+            mk = _field_modes(arr, cur, k, field)
+            lk, cur[k - 1] = _extreme_update(mk, cur[k - 1], largest[act])
+        for x, c in zip(xs, cur):
+            x[act] = c
+        lam[act] = lk
+        conv = act[np.abs(lk - prev) <= 1e-12 * (1.0 + np.abs(lk))]
+        if conv.size:
+            res[conv] = _residuals(arr, [x[conv] for x in xs], lam[conv], field)
+            act = act[~np.isin(act, conv[res[conv].max(axis=1) <= 0.5 * tol])]
+    left = np.flatnonzero(np.isnan(res[:, 0]))  # never stationary: residuals at the end
+    res[left] = _residuals(arr, [x[left] for x in xs], lam[left], field)
+    # no step above depends on the phases of the vectors; fix them once here
+    xs = [linalg.phase_normalize(x) for x in xs]
+    return [
+        EigenTuple(core.eval_poly(h, vs), vs, tuple(float(r) for r in rs))
+        for vs, rs in zip(zip(*xs), res)
+    ]
 
 
 def herm_eigenpair(
@@ -144,25 +170,23 @@ def herm_eigenpair(
 
     Every start runs both an ascent and a descent block-coordinate
     sequence from a random unit tuple (real starts and real-subspace
-    projection when field = "REAL").  Tuples whose stationarity residual
-    exceeds ``tol`` are dropped and counted as failures; survivors are
-    deduplicated up to per-mode phases and sorted by eigenvalue.
+    projection when field = "REAL"); all 2 * starts sequences advance in
+    lock-step.  Tuples whose stationarity residual exceeds ``tol`` are
+    dropped and counted as failures; survivors are deduplicated up to
+    per-mode phases and sorted by eigenvalue.
     """
     if field not in ("COMPLEX", "REAL"):
         raise ShapeMismatch(f"unknown field {field!r}")
     if starts < 1:
         raise ShapeMismatch("starts must be >= 1")
     rng = np.random.Generator(np.random.PCG64(seed))
-    jobs = []
+    x0 = [[] for _ in h.dims]
     for _ in range(starts):
-        x0 = []
-        for n in h.dims:
+        for s, n in enumerate(h.dims):
             v = rng.standard_normal(n) + (0.0 if field == "REAL" else 1j * rng.standard_normal(n))
-            x0.append(np.asarray(v, dtype=np.complex128) / np.linalg.norm(v))
-        for direction in ("min", "max"):
-            jobs.append((tuple(x0), direction))
-
-    results = [_run_start(h, x0, field, direction, tol, max_sweeps) for x0, direction in jobs]
+            x0[s] += [v / np.linalg.norm(v)] * 2  # descent, then ascent
+    largest = np.tile([False, True], starts)
+    results = _lockstep(h, x0, largest, field, tol, max_sweeps)
 
     kept: list[EigenTuple] = []
     failed = 0

@@ -129,6 +129,34 @@ def test_omega_honours_eig_tol(tmp_path):
     assert run(["--tol", "eigTol=1e-4", "omega", str(path), "--k", "1,1"]) == 0
 
 
+@pytest.fixture
+def near_product_file(tmp_path):
+    # |00><00| minus 5e-10 along the entangled (|01> + |10>)/sqrt(2): the
+    # flattening's least eigenvalue -5e-10 fails the default eigTol but is
+    # far inside eigTol=1e-6, and every product value stays above -witTol
+    psi = np.array([0.0, 1.0, 1.0, 0.0]) / np.sqrt(2)
+    h = core.validate((2, 2), np.diag([1.0, 0.0, 0.0, 0.0]) - 5e-10 * np.outer(psi, psi))
+    path = tmp_path / "near.hten"
+    hio.save_hten(path, h)
+    return str(path)
+
+
+def test_psd_honours_eig_tols(near_product_file, tmp_path):
+    assert run(["psd", near_product_file]) == 2
+    assert run(["--tol", "eigTol=1e-6", "psd", near_product_file]) == 0
+    from conftest import cr_psd_ii_tensor
+    path = tmp_path / "cr.hten"
+    hio.save_hten(path, cr_psd_ii_tensor())
+    assert run(["psd", str(path)]) == 1
+    # no eigentuple meets a 1e-300 residual, so no witness survives
+    assert run(["--tol", "eigTupleTol=1e-300", "psd", str(path)]) == 2
+
+
+def test_sep_pipeline_honours_eig_tol(near_product_file):
+    assert run(["sep-pipeline", near_product_file]) == 2
+    assert run(["--tol", "eigTol=1e-6", "sep-pipeline", near_product_file]) == 0
+
+
 def test_oversized_hten_exit_65(tmp_path):
     big = tmp_path / "big.hten"
     big.write_text("HTEN 1\ndims 100000 100000\n")

@@ -92,6 +92,66 @@ class TestHermEig:
             linalg.herm_eig(np.diag([1.0, 2.0]))
 
 
+class TestHermEigStack:
+    def test_matches_per_matrix_calls(self, rng):
+        for n in (2, 3, 5):
+            stack = np.array([random_hermitian_matrix(rng, n) for _ in range(6)])
+            sd = linalg.herm_eig(stack)
+            assert sd.eigenvalues.shape == (6, n) and sd.eigenvectors.shape == (6, n, n)
+            for a, w, v in zip(stack, sd.eigenvalues, sd.eigenvectors):
+                one = linalg.herm_eig(a)
+                assert np.abs(w - one.eigenvalues).max() < 1e-12
+                # simple spectra: columns agree up to a unit phase
+                overlap = np.abs(np.sum(v.conj() * one.eigenvectors, axis=0))
+                assert np.abs(overlap - 1.0).max() < 1e-10
+            rec = sd.reconstruct()
+            assert np.abs(rec - stack).max() < 1e-10 * (1 + np.abs(stack).max())
+
+    def test_zero_member_gets_identity(self, rng):
+        stack = np.array([random_hermitian_matrix(rng, 3), np.zeros((3, 3))])
+        sd = linalg.herm_eig(stack)
+        assert np.array_equal(sd.eigenvalues[1], np.zeros(3))
+        assert np.array_equal(sd.eigenvectors[1], np.eye(3))
+
+    def test_size_one_stack(self):
+        sd = linalg.herm_eig(np.array([[[2.0]], [[-1.0]], [[0.0]]]))
+        assert np.array_equal(sd.eigenvalues, [[2.0], [-1.0], [0.0]])
+        assert np.array_equal(sd.eigenvectors, np.ones((3, 1, 1)))
+
+    def test_one_nonhermitian_member_rejected(self, rng):
+        stack = np.array([random_hermitian_matrix(rng, 2), [[0.0, 1.0], [0.0, 0.0]]])
+        with pytest.raises(SymmetryViolation, match="member 1"):
+            linalg.herm_eig(stack)
+
+    def test_lapack_failure_is_no_convergence(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(NoConvergence):
+            linalg.herm_eig(np.array([np.diag([1.0, 2.0]), np.eye(2)]))
+
+    def test_real_stack_stays_real(self, rng):
+        g = rng.standard_normal((4, 3, 3))
+        sd = linalg.herm_eig(g + np.swapaxes(g, 1, 2))
+        assert np.abs(sd.eigenvectors.imag).max() == 0.0
+
+
+def test_phase_normalize_rows_match_vector_calls(rng):
+    rows = rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))
+    rows[1, 0] = 0.0  # pivot moves to the second entry
+    rows[2] = 0.0  # no significant entry: unchanged
+    rows[3, :2] = 1e-14  # below the significance threshold
+    out = linalg.phase_normalize(rows)
+    for row, got in zip(rows, out):
+        assert np.array_equal(got, linalg.phase_normalize(row))
+    assert np.array_equal(out[2], rows[2])
+    for i, pivot in ((0, 0), (1, 1), (3, 2), (4, 0)):
+        p = rows[i, pivot]
+        assert np.array_equal(out[i], rows[i] * (np.conj(p) / abs(p)))
+        assert out[i, pivot].real > 0 and abs(out[i, pivot].imag) < 1e-15
+
+
 class TestMatrixRank:
     def test_zero(self):
         assert linalg.matrix_rank(np.zeros((3, 3))) == 0

@@ -116,6 +116,27 @@ class TestSearch:
                 assert sep.verify_positive_decomposition(res.decomposition, a)
         assert good >= 8
 
+    def test_later_starts_do_not_change_a_certified_start_0(self, rng):
+        terms = tuple((1.0 + k, (random_unit(rng, 2), random_unit(rng, 3))) for k in range(2))
+        a = dec.assemble(dec.HermitianDecomposition((2, 3), terms))
+        one = sep.separable_search(a, 2, seed=5, starts=1)
+        assert one.status == "SEPARABLE_CERTIFIED"
+        eight = sep.separable_search(a, 2, seed=5, starts=8)
+        assert eight.status == "SEPARABLE_CERTIFIED"
+        for (l1, v1), (l8, v8) in zip(one.decomposition.terms, eight.decomposition.terms):
+            assert abs(l1 - l8) <= 1e-10 * abs(l1)
+            for u, v in zip(v1, v8):
+                assert np.abs(u - v).max() <= 1e-10
+
+    def test_deterministic_under_seed(self):
+        for a in (tensor_62(), hankel_tensor()):
+            first = sep.separable_search(a, 4, seed=2, iters=40)
+            again = sep.separable_search(a, 4, seed=2, iters=40)
+            assert (first.status, first.note) == (again.status, again.note)
+            if first.decomposition is not None:
+                for (l1, v1), (l2, v2) in zip(first.decomposition.terms, again.decomposition.terms):
+                    assert l1 == l2 and all(np.array_equal(u, v) for u, v in zip(v1, v2))
+
     def test_hankel_unknown(self):
         res = sep.separable_search(hankel_tensor(), 4, seed=1, iters=60)
         assert res.status == "UNKNOWN"
@@ -129,6 +150,56 @@ class TestSearch:
         res = sep.separable_search(core.identity_tensor((2, 2)), 2, seed=0)
         assert res.status == "UNKNOWN"
         assert "flattening rank" in res.note
+
+
+def assert_same_verdict(got, want, tol=1e-8):
+    assert (got.status, got.field) == (want.status, want.field)
+    if want.decomposition is None:
+        assert got.decomposition is None
+        return
+    assert len(got.decomposition) == len(want.decomposition)
+    for (l1, v1), (l2, v2) in zip(got.decomposition.terms, want.decomposition.terms):
+        assert abs(l1 - l2) <= tol * abs(l2)
+        for u, v in zip(v1, v2):
+            assert np.abs(u - v).max() <= tol
+
+
+class TestBudgetLockstep:
+    """The pipeline runs its rank budgets in lock-step; every budget must
+    give what separable_search gives on it alone."""
+
+    @staticmethod
+    def rank2_23(rng):
+        terms = tuple((1.0 + k, (random_unit(rng, 2), random_unit(rng, 3))) for k in range(2))
+        return dec.assemble(dec.HermitianDecomposition((2, 3), terms))
+
+    def test_budgets_do_not_couple(self, rng):
+        a = self.rank2_23(rng)
+        seeds = {1: 6, 2: 7, 3: 8, 4: 9}
+        seen = {}
+        assert sep._budget_search(a, seeds, 200, 8, sep.SEP_TOL,
+                                  lambda r, v: seen.setdefault(r, v) and None) is None
+        assert sorted(seen) == [1, 2, 3, 4]
+        assert "flattening rank" in seen[1].note
+        for r, s in seeds.items():
+            want = sep.separable_search(a, r, seed=s)
+            assert_same_verdict(seen[r], want)
+            assert seen[r].note == want.note
+
+    def test_rejected_budget_lets_the_next_one_win(self, rng):
+        a = self.rank2_23(rng)
+        got = sep._budget_search(a, {2: 7, 3: 8, 4: 9}, 200, 8, sep.SEP_TOL,
+                                 lambda r, v: v if r > 2 else None)
+        assert_same_verdict(got, sep.separable_search(a, 3, seed=8))
+
+    def test_pipeline_matches_budget_by_budget(self, rng):
+        for a in (tensor_62(), self.rank2_23(rng)):
+            got = sep.separability_pipeline(a, "COMPLEX", effort=4, seed=3)
+            r, want = next((r, v) for r in range(1, 5)
+                           for v in [sep.separable_search(a, r, seed=3 + r)]
+                           if v.status == "SEPARABLE_CERTIFIED")
+            assert_same_verdict(got, sep.SepVerdict(want.status, decomposition=want.decomposition))
+            assert got.note == f"alternating search succeeded at r={r}"
 
 
 class TestPipeline:

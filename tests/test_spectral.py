@@ -79,7 +79,34 @@ class TestHermEigenpair:
         h = core.random_hermitian((2, 2), 5)
         a = sp.herm_eigenpair(h, seed=11, starts=4)
         b = sp.herm_eigenpair(h, seed=11, starts=4)
+        assert a.failed_starts == b.failed_starts
         assert [t.value for t in a.tuples] == [t.value for t in b.tuples]
+        for ta, tb in zip(a.tuples, b.tuples):
+            assert ta.residuals == tb.residuals
+            assert all(np.array_equal(u, v) for u, v in zip(ta.vectors, tb.vectors))
+
+    def test_lockstep_sequences_do_not_couple(self, monkeypatch):
+        # every sequence of the batch matches the same start run alone
+        h = core.random_hermitian((2, 3), 4)
+        runs = []
+        lockstep = sp._lockstep
+
+        def spy(h, x0, largest, *rest):
+            out = lockstep(h, x0, largest, *rest)
+            runs.append((x0, largest, rest, out))
+            return out
+
+        monkeypatch.setattr(sp, "_lockstep", spy)
+        search = sp.herm_eigenpair(h, seed=3, starts=6)
+        (x0, largest, rest, batch), = runs
+        assert len(batch) == 12
+        for b, tup in enumerate(batch):
+            alone, = lockstep(h, [x[b:b + 1] for x in x0], largest[b:b + 1], *rest)
+            assert abs(alone.value - tup.value) <= 1e-10
+            assert np.abs(np.subtract(alone.residuals, tup.residuals)).max() <= 1e-10
+            for u, v in zip(alone.vectors, tup.vectors):
+                assert np.abs(u - v).max() <= 1e-10
+        assert all(any(t is u for u in batch) for t in search.tuples)
 
     def test_matrix_case_matches_eigenvalues(self):
         h = core.random_hermitian((3,), 2)
