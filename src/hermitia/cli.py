@@ -2,9 +2,13 @@
 
 Exit codes: 0 affirmative/successful analysis; 1 negative verdict
 (not real-decomposable, NOT_PSD_WITNESS, ENTANGLED_WITNESS, failed
-verification); 2 UNKNOWN or INCONCLUSIVE; 64 usage error; 65 malformed
-input file.  Reports are deterministic for a fixed --seed; --json mirrors
-the text report field for field.
+verification); 2 UNKNOWN or INCONCLUSIVE; 64 usage error (including an
+``--out`` path that cannot be written); 65 malformed input file.  Reports
+are deterministic for a fixed --seed; --json mirrors the text report field
+for field.
+
+Each verb is one ``VERBS`` entry, its arguments and a handler; ``run`` loads
+the input, writes ``--out``, emits the report and maps the exit code for all.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import numpy as np
 from . import core, decomposition, flatten, io, linalg, psd_sos, real_herm, separability, spectral
 from .errors import (
     BasisTooLarge,
+    ConstructionFailed,
     FormatError,
     HermitiaError,
     NonRealDiagonal,
@@ -31,6 +36,11 @@ EXIT_NEGATIVE = 1
 EXIT_UNKNOWN = 2
 EXIT_USAGE = 64
 EXIT_BADFILE = 65
+
+_AFFIRMATIVE = ("DECOMPOSED", "FEASIBLE", "MEMBER", "PSD_CERTIFIED", "SEPARABLE_CERTIFIED", "YES")
+_REFUTED = ("NO", "NOT_PSD_WITNESS", "ENTANGLED_WITNESS", "NOT_REAL_DECOMPOSABLE")
+# every other status (UNKNOWN, INCONCLUSIVE, INFEASIBLE_HINT) exits EXIT_UNKNOWN
+STATUS_EXIT = {**dict.fromkeys(_AFFIRMATIVE, EXIT_OK), **dict.fromkeys(_REFUTED, EXIT_NEGATIVE)}
 
 TOL_NAMES = {
     "symTol": core.SYM_TOL,
@@ -125,29 +135,243 @@ def _tols(args) -> dict:
     return out
 
 
-def _load_tensor(path) -> core.HermitianTensor:
+def _read(load, path, **kwargs):
+    """Load a file; an unreadable path counts as a malformed input."""
     try:
-        return io.load_hten(path)
+        return load(path, **kwargs)
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
 
 
-def _load_decomposition(path) -> decomposition.HermitianDecomposition:
+def _dumps(artifact) -> str:
+    """Serialize a verb's artifact in the format its type names; a flattening is MTXC."""
+    for kind, dumps in ((core.HermitianTensor, io.dumps_hten),
+                        (decomposition.HermitianDecomposition, io.dumps_hdec),
+                        (psd_sos.GramCertificate, io.dumps_gram),
+                        (separability.SepVerdict, io.dumps_sepv)):
+        if isinstance(artifact, kind):
+            return dumps(artifact)
+    return io.dumps_mtxc(artifact)
+
+
+VERBS: dict = {}  # name -> (handler, argparse arguments, loads an HTEN input)
+
+
+def _arg(*flags, **kwargs):
+    return flags, kwargs
+
+
+_OUT = _arg("--out")
+_GRAM_OUT = _arg("--out", help="write the Gram certificate as a GRAM record")
+_FIELD = _arg("--field", choices=["COMPLEX", "REAL"], default="COMPLEX")
+_DIMS = _arg("--dims", required=True, type=_dims_arg)
+
+
+def _verb(name, *arguments, hten=True):
+    """Register ``handler(h, args, tols) -> (report, status or exit code, artifact or None)``;
+    ``hten`` declares the HTEN ``input`` that ``run`` loads and passes as ``h``."""
+    def register(handler):
+        VERBS[name] = (handler, arguments, hten)
+        return handler
+    return register
+
+
+@_verb("info")
+def _info(h, args, tols):
+    return {"dims": list(h.dims), "order": h.order, "size": h.size, "norm": core.norm(h),
+            "expected_hrank": decomposition.expected_hrank(h.dims)}, EXIT_OK, None
+
+
+@_verb("validate", _arg("input"), hten=False)
+def _validate(h, args, tols):
     try:
-        return io.load_hdec(path)
-    except OSError as exc:
-        raise FormatError(f"cannot read {path}: {exc}") from exc
+        h = _read(io.load_hten, args.input, sym_tol=tols["symTol"])
+    except HermitiaError as exc:
+        return {"valid": False, "detail": str(exc)}, EXIT_NEGATIVE, None
+    return {"valid": True, "dims": list(h.dims)}, EXIT_OK, None
 
 
-def _maybe_save_hdec(args, d) -> None:
-    if getattr(args, "out", None):
-        io.save_hdec(args.out, d)
+@_verb("flatten", _arg("--map", choices=["m", "kappa"], default="m"), _OUT)
+def _flatten(h, args, tols):
+    fm = flatten.hermitian_flatten(h) if args.map == "m" else flatten.kronecker_flatten(h)
+    return {"map": args.map, "rows": fm.rows, "cols": fm.cols,
+            "rank": linalg.matrix_rank(fm.mat, tols["rankTol"])}, EXIT_OK, fm
 
 
-def _maybe_save_gram(args, cert) -> None:
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(io.dumps_gram(cert))
+@_verb("bounds")
+def _bounds(h, args, tols):
+    rep = flatten.hrank_lower_bound(h, tols["rankTol"])
+    report = {"m_rank": rep.m_rank, "kappa_rank": rep.kappa_rank, "lower_bound": rep.bound}
+    return report, EXIT_OK, None
+
+
+@_verb("basis-decompose", _DIMS,
+       _arg("--I", required=True, type=_dims_arg), _arg("--J", required=True, type=_dims_arg),
+       _arg("--c", default="1", type=_complex_arg), _OUT, hten=False)
+def _basis_decompose(h, args, tols):
+    d = decomposition.basis_decomposition(args.I, args.J, args.c, args.dims)
+    bt = core.basis_tensor(args.I, args.J, args.c, args.dims)
+    return {"terms": len(d), "residual": decomposition.residual(d, bt)}, EXIT_OK, d
+
+
+@_verb("kruskal", _arg("input", help="HDEC file"), hten=False)
+def _kruskal(h, args, tols):
+    rep = decomposition.kruskal_certify(_read(io.load_hdec, args.input), tols["rankTol"])
+    report = {"kruskal_ranks": list(rep.kruskal_ranks), "rank": rep.rank,
+              "certified": rep.certified, "margin": rep.margin}
+    return report, EXIT_OK if rep.certified else EXIT_UNKNOWN, None
+
+
+@_verb("jennrich", _arg("--rmax", type=int, required=True), _OUT)
+def _jennrich(h, args, tols):
+    out = decomposition.jennrich_decompose(h, args.rmax, seed=args.seed, cp_tol=tols["cpTol"])
+    if isinstance(out, decomposition.Unknown):
+        return {"status": "UNKNOWN", "reason": out.reason, "seed": args.seed}, "UNKNOWN", None
+    return {"status": "DECOMPOSED", "terms": len(out),
+            "residual": decomposition.residual(out, h), "seed": args.seed}, "DECOMPOSED", out
+
+
+def _witness_text(witness) -> str:
+    def label(t):
+        return "".join(str(x) for x in t) if all(x <= 9 for x in t) else ",".join(map(str, t))
+    return " vs ".join(label(I) + label(J) for I, J in (witness[:2], witness[2:]))
+
+
+@_verb("real-check")
+def _real_check(h, args, tols):
+    try:
+        ok, witness = real_herm.is_real_decomposable(h, tols["symTol"])
+    except RealityViolation as exc:
+        return {"real_decomposable": False, "detail": str(exc)}, EXIT_NEGATIVE, None
+    if ok:
+        return {"real_decomposable": True}, EXIT_OK, None
+    return {"real_decomposable": False, "witness": _witness_text(witness)}, EXIT_NEGATIVE, None
+
+
+@_verb("real-decompose-22", _OUT)
+@_verb("real-decompose", _OUT)
+def _real_decompose(h, args, tols):
+    try:
+        d = (real_herm.real_decompose(h, rd_tol=tols["rdTol"]) if args.verb == "real-decompose"
+             else real_herm.real_decompose_22(h, rd_tol=tols["rdTol"], nf_tol=tols["nfTol"]))
+    except HermitiaError as exc:
+        # a failed construction on an input that passed the real test is no verdict
+        status = "UNKNOWN" if isinstance(exc, ConstructionFailed) else "NOT_REAL_DECOMPOSABLE"
+        return {"status": status, "detail": str(exc)}, status, None
+    report = {"status": "DECOMPOSED", "terms": len(d), "residual": decomposition.residual(d, h),
+              "flattening_lower_bound": flatten.hrank_lower_bound(h, tols["rankTol"]).bound}
+    return report, "DECOMPOSED", d
+
+
+@_verb("eig", _FIELD, _arg("--starts", type=int, default=spectral.DEFAULT_STARTS))
+def _eig(h, args, tols):
+    search = spectral.herm_eigenpair(h, seed=args.seed, field=args.field,
+                                     starts=args.starts, tol=tols["eigTupleTol"])
+    return {"seed": args.seed, "field": args.field, "failed_starts": search.failed_starts,
+            "tuples": [{"lambda": t.value, "max_residual": max(t.residuals)}
+                       for t in search.tuples]}, EXIT_OK, None
+
+
+@_verb("ortho")
+def _ortho(h, args, tols):
+    od = spectral.orthogonal_decompose(h, tols["rankTol"], tols["r1Tol"])
+    return {"terms": [{"lambda": t.value, "rank1_residual": t.rank1_residual,
+                       "unit_rank1": t.unit_rank1} for t in od.terms]}, EXIT_OK, None
+
+
+@_verb("unitary-check", _OUT)
+def _unitary_check(h, args, tols):
+    rep = spectral.unitary_decomposable(h, tols["eigGapTol"], tols["r1Tol"])
+    report = {"status": rep.status, "note": rep.note}
+    if rep.decomposition is not None:
+        report["terms"] = len(rep.decomposition)
+    return report, rep.status, rep.decomposition
+
+
+@_verb("hsos", _GRAM_OUT)
+def _hsos(h, args, tols):
+    res = psd_sos.hsos_test(h, tols["eigTol"])
+    if res.is_hsos:
+        return {"hsos": True, "gram_residual": res.certificate.residual}, EXIT_OK, res.certificate
+    return {"hsos": False, "negative_eigenvalue": res.negative_eigenvalue}, EXIT_NEGATIVE, None
+
+
+@_verb("csos", _arg("--iters", type=int, default=psd_sos.CSOS_ITERS), _GRAM_OUT)
+def _csos(h, args, tols):
+    res = psd_sos.csos_test(h, iters=args.iters, gram_tol=tols["gramTol"])
+    report = {"status": res.status, "iterations": res.iterations, "residual": res.residual}
+    return report, res.status, res.certificate
+
+
+@_verb("omega", _arg("--k", required=True, type=_dims_arg,
+                     help="comma-separated powers, one per mode"), _GRAM_OUT)
+def _omega(h, args, tols):
+    res = psd_sos.multiplier_hsos_test(h, args.k, eig_tol=tols["eigTol"])
+    return {"status": res.status, "powers": list(res.powers),
+            "min_eigenvalue": res.min_eigenvalue}, res.status, res.certificate
+
+
+@_verb("psd", _FIELD, _arg("--effort", type=int, default=2))
+def _psd(h, args, tols):
+    res = psd_sos.psd_verdict(h, field=args.field, effort=args.effort,
+                              seed=args.seed, wit_tol=tols["witTol"], eig_tol=tols["eigTol"],
+                              eig_tuple_tol=tols["eigTupleTol"])
+    report = {"status": res.status, "field": res.field, "note": res.note, "seed": args.seed}
+    if res.witness_value is not None:
+        report["witness_value"] = res.witness_value
+    return report, res.status, None
+
+
+@_verb("sep-verify", _arg("--decomposition", required=True), _FIELD)
+def _sep_verify(h, args, tols):
+    d = _read(io.load_hdec, args.decomposition)
+    ok = separability.verify_positive_decomposition(d, h, args.field, tols["sepTol"])
+    return {"verified": ok, "field": args.field}, EXIT_OK if ok else EXIT_NEGATIVE, None
+
+
+@_verb("sep-witness", _arg("--witness", required=True))
+def _sep_witness(h, args, tols):
+    b = _read(io.load_hten, args.witness, sym_tol=tols["symTol"])
+    res = separability.dual_witness_check(h, b, tols["witTol"])
+    return {"status": res.status, "inner": res.value}, res.status, None
+
+
+@_verb("sep-search", _arg("--r", type=int, required=True),
+       _arg("--iters", type=int, default=200), _OUT)
+def _sep_search(h, args, tols):
+    res = separability.separable_search(h, args.r, seed=args.seed,
+                                        iters=args.iters, sep_tol=tols["sepTol"])
+    report = {"status": res.status, "note": res.note, "seed": args.seed}
+    if res.decomposition is not None:
+        report["terms"] = len(res.decomposition)
+    return report, res.status, res.decomposition
+
+
+@_verb("sep-pipeline", _FIELD, _arg("--effort", type=int, default=4),
+       _arg("--out", help="write the verdict as a SEPV record"))
+def _sep_pipeline(h, args, tols):
+    res = separability.separability_pipeline(h, args.field, effort=args.effort,
+                                             seed=args.seed, sep_tol=tols["sepTol"],
+                                             wit_tol=tols["witTol"], eig_tol=tols["eigTol"])
+    report = {"status": res.status, "field": res.field, "note": res.note, "seed": args.seed}
+    if res.witness_value is not None:
+        report["witness_value"] = res.witness_value
+    if res.decomposition is not None:
+        report["terms"] = len(res.decomposition)
+    return report, res.status, res
+
+
+@_verb("random", _DIMS, _arg("--out", required=True), hten=False)
+def _random(h, args, tols):
+    h = core.random_hermitian(args.dims, args.seed)
+    report = {"dims": list(args.dims), "seed": args.seed, "norm": core.norm(h), "out": args.out}
+    return report, EXIT_OK, h
+
+
+@_verb("expected-rank", _DIMS, hten=False)
+def _expected_rank(h, args, tols):
+    return {"dims": list(args.dims),
+            "expected_hrank": decomposition.expected_hrank(args.dims)}, EXIT_OK, None
 
 
 def build_parser() -> _Parser:
@@ -157,305 +381,41 @@ def build_parser() -> _Parser:
     p.add_argument("--tol", action="append", metavar="NAME=VALUE",
                    help="override a named tolerance (repeatable)")
     sub = p.add_subparsers(dest="verb", required=True)
-
-    def add(name, **kwargs):
-        return sub.add_parser(name, **kwargs)
-
-    sp = add("info");            sp.add_argument("input")
-    sp = add("validate");        sp.add_argument("input")
-    sp = add("flatten");         sp.add_argument("input")
-    sp.add_argument("--map", choices=["m", "kappa"], default="m")
-    sp.add_argument("--out")
-    sp = add("bounds");          sp.add_argument("input")
-    sp = add("basis-decompose")
-    sp.add_argument("--dims", required=True); sp.add_argument("--I", required=True)
-    sp.add_argument("--J", required=True);    sp.add_argument("--c", default="1")
-    sp.add_argument("--out")
-    sp = add("kruskal");         sp.add_argument("input", help="HDEC file")
-    sp = add("jennrich");        sp.add_argument("input")
-    sp.add_argument("--rmax", type=int, required=True); sp.add_argument("--out")
-    sp = add("real-check");      sp.add_argument("input")
-    sp = add("real-decompose");  sp.add_argument("input"); sp.add_argument("--out")
-    sp = add("real-decompose-22"); sp.add_argument("input"); sp.add_argument("--out")
-    sp = add("eig");             sp.add_argument("input")
-    sp.add_argument("--field", choices=["COMPLEX", "REAL"], default="COMPLEX")
-    sp.add_argument("--starts", type=int, default=spectral.DEFAULT_STARTS)
-    sp = add("ortho");           sp.add_argument("input")
-    sp = add("unitary-check");   sp.add_argument("input"); sp.add_argument("--out")
-    sp = add("hsos");            sp.add_argument("input")
-    sp.add_argument("--out", help="write the Gram certificate as a GRAM record")
-    sp = add("csos");            sp.add_argument("input")
-    sp.add_argument("--iters", type=int, default=psd_sos.CSOS_ITERS)
-    sp.add_argument("--out", help="write the Gram certificate as a GRAM record")
-    sp = add("omega");           sp.add_argument("input")
-    sp.add_argument("--k", required=True, help="comma-separated powers, one per mode")
-    sp.add_argument("--out", help="write the Gram certificate as a GRAM record")
-    sp = add("psd");             sp.add_argument("input")
-    sp.add_argument("--field", choices=["COMPLEX", "REAL"], default="COMPLEX")
-    sp.add_argument("--effort", type=int, default=2)
-    sp = add("sep-verify");      sp.add_argument("input")
-    sp.add_argument("--decomposition", required=True)
-    sp.add_argument("--field", choices=["COMPLEX", "REAL"], default="COMPLEX")
-    sp = add("sep-witness");     sp.add_argument("input")
-    sp.add_argument("--witness", required=True)
-    sp = add("sep-search");      sp.add_argument("input")
-    sp.add_argument("--r", type=int, required=True)
-    sp.add_argument("--iters", type=int, default=200); sp.add_argument("--out")
-    sp = add("sep-pipeline");    sp.add_argument("input")
-    sp.add_argument("--field", choices=["COMPLEX", "REAL"], default="COMPLEX")
-    sp.add_argument("--effort", type=int, default=4)
-    sp.add_argument("--out", help="write the verdict as a SEPV record")
-    sp = add("random")
-    sp.add_argument("--dims", required=True); sp.add_argument("--out", required=True)
-    sp = add("expected-rank");   sp.add_argument("--dims", required=True)
+    for name, (_, arguments, hten) in VERBS.items():
+        sp = sub.add_parser(name)
+        if hten:
+            sp.add_argument("input")
+        for flags, kwargs in arguments:
+            sp.add_argument(*flags, **kwargs)
     return p
-
-
-def _witness_text(witness) -> str:
-    refI, refJ, I, J = witness
-    def label(t):
-        return "".join(str(x) for x in t) if all(x <= 9 for x in t) else ",".join(map(str, t))
-    return f"{label(refI)}{label(refJ)} vs {label(I)}{label(J)}"
 
 
 def run(argv) -> int:
     try:
         args = build_parser().parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
         tols = _tols(args)
-        return _dispatch(args, tols)
-    except _UsageError as exc:
+        handler, _, hten = VERBS[args.verb]
+        h = _read(io.load_hten, args.input, sym_tol=tols["symTol"]) if hten else None
+        report, status, artifact = handler(h, args, tols)
+    except (_UsageError, RankBudgetExceeded, BasisTooLarge, NonRealDiagonal, OrderTooSmall) as exc:
+        # the library errors listed here come from bad flag values, not bad files
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except FormatError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_BADFILE
-    except (RankBudgetExceeded, BasisTooLarge, NonRealDiagonal, OrderTooSmall) as exc:
-        # bad flag values, not bad files
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except HermitiaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BADFILE
-
-
-def _dispatch(args, tols) -> int:
-    verb = args.verb
-    emit = lambda report: _emit(report, args.json)  # noqa: E731
-
-    if verb == "info":
-        h = _load_tensor(args.input)
-        emit({
-            "dims": list(h.dims), "order": h.order, "size": h.size,
-            "norm": core.norm(h), "expected_hrank": decomposition.expected_hrank(h.dims),
-        })
-        return EXIT_OK
-
-    if verb == "validate":
+    if artifact is not None and getattr(args, "out", None):
         try:
-            h = _load_tensor(args.input)
-        except HermitiaError as exc:
-            print(f"invalid: {exc}")
-            return EXIT_NEGATIVE
-        emit({"valid": True, "dims": list(h.dims)})
-        return EXIT_OK
-
-    if verb == "flatten":
-        h = _load_tensor(args.input)
-        fm = flatten.hermitian_flatten(h) if args.map == "m" else flatten.kronecker_flatten(h)
-        if args.out:
-            io.save_mtxc(args.out, fm)
-        emit({"map": args.map, "rows": fm.rows, "cols": fm.cols,
-              "rank": linalg.matrix_rank(fm.mat, tols["rankTol"])})
-        return EXIT_OK
-
-    if verb == "bounds":
-        h = _load_tensor(args.input)
-        rep = flatten.hrank_lower_bound(h, tols["rankTol"])
-        emit({"m_rank": rep.m_rank, "kappa_rank": rep.kappa_rank, "lower_bound": rep.bound})
-        return EXIT_OK
-
-    if verb == "basis-decompose":
-        dims = _dims_arg(args.dims)
-        d = decomposition.basis_decomposition(_dims_arg(args.I), _dims_arg(args.J),
-                                              _complex_arg(args.c), dims)
-        _maybe_save_hdec(args, d)
-        bt = core.basis_tensor(_dims_arg(args.I), _dims_arg(args.J), _complex_arg(args.c), dims)
-        emit({"terms": len(d), "residual": decomposition.residual(d, bt)})
-        return EXIT_OK
-
-    if verb == "kruskal":
-        d = _load_decomposition(args.input)
-        rep = decomposition.kruskal_certify(d, tols["rankTol"])
-        emit({"kruskal_ranks": list(rep.kruskal_ranks), "rank": rep.rank,
-              "certified": rep.certified, "margin": rep.margin})
-        return EXIT_OK if rep.certified else EXIT_UNKNOWN
-
-    if verb == "jennrich":
-        h = _load_tensor(args.input)
-        out = decomposition.jennrich_decompose(h, args.rmax, seed=args.seed, cp_tol=tols["cpTol"])
-        if isinstance(out, decomposition.Unknown):
-            emit({"status": "UNKNOWN", "reason": out.reason, "seed": args.seed})
-            return EXIT_UNKNOWN
-        _maybe_save_hdec(args, out)
-        emit({"status": "DECOMPOSED", "terms": len(out),
-              "residual": decomposition.residual(out, h), "seed": args.seed})
-        return EXIT_OK
-
-    if verb == "real-check":
-        h = _load_tensor(args.input)
-        try:
-            ok, witness = real_herm.is_real_decomposable(h, tols["symTol"])
-        except RealityViolation as exc:
-            emit({"real_decomposable": False, "detail": str(exc)})
-            return EXIT_NEGATIVE
-        if ok:
-            emit({"real_decomposable": True})
-            return EXIT_OK
-        emit({"real_decomposable": False, "witness": _witness_text(witness)})
-        return EXIT_NEGATIVE
-
-    if verb in ("real-decompose", "real-decompose-22"):
-        h = _load_tensor(args.input)
-        fn = real_herm.real_decompose if verb == "real-decompose" else real_herm.real_decompose_22
-        try:
-            d = fn(h, rd_tol=tols["rdTol"])
-        except HermitiaError as exc:
-            emit({"status": "NOT_REAL_DECOMPOSABLE", "detail": str(exc)})
-            return EXIT_NEGATIVE
-        _maybe_save_hdec(args, d)
-        emit({"status": "DECOMPOSED", "terms": len(d), "residual": decomposition.residual(d, h),
-              "flattening_lower_bound": flatten.hrank_lower_bound(h).bound})
-        return EXIT_OK
-
-    if verb == "eig":
-        h = _load_tensor(args.input)
-        search = spectral.herm_eigenpair(h, seed=args.seed, field=args.field,
-                                         starts=args.starts, tol=tols["eigTupleTol"])
-        emit({
-            "seed": args.seed, "field": args.field, "failed_starts": search.failed_starts,
-            "tuples": [
-                {"lambda": t.value, "max_residual": max(t.residuals)} for t in search.tuples
-            ],
-        })
-        return EXIT_OK
-
-    if verb == "ortho":
-        h = _load_tensor(args.input)
-        od = spectral.orthogonal_decompose(h, tols["rankTol"], tols["r1Tol"])
-        emit({"terms": [
-            {"lambda": t.value, "rank1_residual": t.rank1_residual, "unit_rank1": t.unit_rank1}
-            for t in od.terms
-        ]})
-        return EXIT_OK
-
-    if verb == "unitary-check":
-        h = _load_tensor(args.input)
-        rep = spectral.unitary_decomposable(h, tols["eigGapTol"], tols["r1Tol"])
-        report = {"status": rep.status, "note": rep.note}
-        if rep.status == "YES":
-            report["terms"] = len(rep.decomposition)
-            if args.out:
-                io.save_hdec(args.out, rep.decomposition)
-        emit(report)
-        return {"YES": EXIT_OK, "NO": EXIT_NEGATIVE}.get(rep.status, EXIT_UNKNOWN)
-
-    if verb == "hsos":
-        h = _load_tensor(args.input)
-        res = psd_sos.hsos_test(h, tols["eigTol"])
-        if res.is_hsos:
-            _maybe_save_gram(args, res.certificate)
-            emit({"hsos": True, "gram_residual": res.certificate.residual})
-            return EXIT_OK
-        emit({"hsos": False, "negative_eigenvalue": res.negative_eigenvalue})
-        return EXIT_NEGATIVE
-
-    if verb == "csos":
-        h = _load_tensor(args.input)
-        res = psd_sos.csos_test(h, iters=args.iters, gram_tol=tols["gramTol"])
-        if res.certificate is not None:
-            _maybe_save_gram(args, res.certificate)
-        emit({"status": res.status, "iterations": res.iterations, "residual": res.residual})
-        return EXIT_OK if res.status == "FEASIBLE" else EXIT_UNKNOWN
-
-    if verb == "omega":
-        h = _load_tensor(args.input)
-        powers = _dims_arg(args.k)
-        res = psd_sos.multiplier_hsos_test(h, powers, eig_tol=tols["eigTol"])
-        if res.certificate is not None:
-            _maybe_save_gram(args, res.certificate)
-        emit({"status": res.status, "powers": list(res.powers),
-              "min_eigenvalue": res.min_eigenvalue})
-        return EXIT_OK if res.status == "MEMBER" else EXIT_UNKNOWN
-
-    if verb == "psd":
-        h = _load_tensor(args.input)
-        res = psd_sos.psd_verdict(h, field=args.field, effort=args.effort,
-                                  seed=args.seed, wit_tol=tols["witTol"], eig_tol=tols["eigTol"],
-                                  eig_tuple_tol=tols["eigTupleTol"])
-        report = {"status": res.status, "field": res.field, "note": res.note, "seed": args.seed}
-        if res.witness_value is not None:
-            report["witness_value"] = res.witness_value
-        emit(report)
-        return {"PSD_CERTIFIED": EXIT_OK, "NOT_PSD_WITNESS": EXIT_NEGATIVE}.get(res.status, EXIT_UNKNOWN)
-
-    if verb == "sep-verify":
-        h = _load_tensor(args.input)
-        d = _load_decomposition(args.decomposition)
-        ok = separability.verify_positive_decomposition(d, h, args.field, tols["sepTol"])
-        emit({"verified": ok, "field": args.field})
-        return EXIT_OK if ok else EXIT_NEGATIVE
-
-    if verb == "sep-witness":
-        h = _load_tensor(args.input)
-        b = _load_tensor(args.witness)
-        res = separability.dual_witness_check(h, b, tols["witTol"])
-        emit({"status": res.status, "inner": res.value})
-        return EXIT_NEGATIVE if res.status == "ENTANGLED_WITNESS" else EXIT_UNKNOWN
-
-    if verb == "sep-search":
-        h = _load_tensor(args.input)
-        res = separability.separable_search(h, args.r, seed=args.seed,
-                                            iters=args.iters, sep_tol=tols["sepTol"])
-        report = {"status": res.status, "note": res.note, "seed": args.seed}
-        if res.decomposition is not None:
-            report["terms"] = len(res.decomposition)
-            _maybe_save_hdec(args, res.decomposition)
-        emit(report)
-        return EXIT_OK if res.status == "SEPARABLE_CERTIFIED" else EXIT_UNKNOWN
-
-    if verb == "sep-pipeline":
-        h = _load_tensor(args.input)
-        res = separability.separability_pipeline(h, args.field, effort=args.effort,
-                                                 seed=args.seed, sep_tol=tols["sepTol"],
-                                                 wit_tol=tols["witTol"], eig_tol=tols["eigTol"])
-        report = {"status": res.status, "field": res.field, "note": res.note, "seed": args.seed}
-        if res.witness_value is not None:
-            report["witness_value"] = res.witness_value
-        if res.decomposition is not None:
-            report["terms"] = len(res.decomposition)
-        if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(io.dumps_sepv(res))
-        emit(report)
-        return {"SEPARABLE_CERTIFIED": EXIT_OK, "ENTANGLED_WITNESS": EXIT_NEGATIVE}.get(res.status, EXIT_UNKNOWN)
-
-    if verb == "random":
-        dims = _dims_arg(args.dims)
-        h = core.random_hermitian(dims, args.seed)
-        io.save_hten(args.out, h)
-        emit({"dims": list(dims), "seed": args.seed, "norm": core.norm(h), "out": args.out})
-        return EXIT_OK
-
-    if verb == "expected-rank":
-        dims = _dims_arg(args.dims)
-        emit({"dims": list(dims), "expected_hrank": decomposition.expected_hrank(dims)})
-        return EXIT_OK
-
-    raise _UsageError(f"unhandled verb {verb!r}")
+                fh.write(_dumps(artifact))
+        except OSError as exc:
+            print(f"usage error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+            return EXIT_USAGE
+    _emit(report, args.json)
+    return status if isinstance(status, int) else STATUS_EXIT.get(status, EXIT_UNKNOWN)
 
 
 def main() -> None:

@@ -49,6 +49,10 @@ class NoConvergence(HermitiaError):
     """Iteration budget exhausted before reaching the requested tolerance."""
 
 
+class ConstructionFailed(HermitiaError):
+    """A constructive algorithm's result fails its own reconstruction check."""
+
+
 class RealityViolation(HermitiaError):
     """Tensor entries are not real within tolerance."""
 

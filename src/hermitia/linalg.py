@@ -31,17 +31,6 @@ class SpectralDecomp:
         return (v * self.eigenvalues[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
 
 
-def _check_hermitian(a, tol_scale: float = 1e-8) -> np.ndarray:
-    a = np.asarray(a, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise SymmetryViolation(f"expected a square matrix, got shape {a.shape}")
-    scale = float(np.abs(a).max()) if a.size else 0.0
-    dev = float(np.abs(a - a.conj().T).max()) if a.size else 0.0
-    if dev > tol_scale * max(1.0, scale):
-        raise SymmetryViolation(f"matrix is not Hermitian: deviation {dev:.3e}")
-    return (a + a.conj().T) / 2.0
-
-
 def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     try:
         w, v = np.linalg.eigh(a if np.any(a.imag) else a.real)
@@ -58,31 +47,21 @@ def herm_eig(a) -> SpectralDecomp:
     real problem, so its eigenvectors stay exactly real.  A zero matrix
     gets identity eigenvectors.
     """
-    if np.ndim(a) == 3:
-        return _herm_eig_stack(np.asarray(a, dtype=np.complex128))
-    a = _check_hermitian(a)
-    n = a.shape[0]
-    if n == 1:
-        return SpectralDecomp(a.real.reshape(1).copy(), np.ones((1, 1), dtype=np.complex128))
-    if not np.any(a):
-        return SpectralDecomp(np.zeros(n), np.eye(n, dtype=np.complex128))
-    return SpectralDecomp(*_eigh(a))
-
-
-def _herm_eig_stack(a: np.ndarray, tol_scale: float = 1e-8) -> SpectralDecomp:
-    b, n, n2 = a.shape
-    if n != n2:
-        raise SymmetryViolation(f"expected a stack of square matrices, got shape {a.shape}")
-    ah = np.swapaxes(a.conj(), 1, 2)
-    scale = np.abs(a).max(axis=(1, 2), initial=0.0)
-    dev = np.abs(a - ah).max(axis=(1, 2), initial=0.0)
-    bad = np.flatnonzero(dev > tol_scale * np.maximum(1.0, scale))
-    if bad.size:
-        raise SymmetryViolation(
-            f"stack member {bad[0]} is not Hermitian: deviation {dev[bad[0]]:.3e}")
+    a = np.asarray(a, dtype=np.complex128)
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
+        raise SymmetryViolation(f"expected a square matrix or a stack of them, got shape {a.shape}")
+    ah = np.swapaxes(a.conj(), -1, -2)
+    scale = np.abs(a).max(axis=(-2, -1), initial=0.0)
+    dev = np.abs(a - ah).max(axis=(-2, -1), initial=0.0)
+    bad = dev > 1e-8 * np.maximum(1.0, scale)
+    if bad.any():
+        i = int(np.argmax(bad))
+        where = f"stack member {i}" if a.ndim == 3 else "matrix"
+        raise SymmetryViolation(f"{where} is not Hermitian: deviation {dev.flat[i]:.3e}")
     a = (a + ah) / 2.0
+    n = a.shape[-1]
     if n == 1:
-        return SpectralDecomp(a.real.reshape(b, 1).copy(), np.ones((b, 1, 1), dtype=np.complex128))
+        return SpectralDecomp(a.real[..., 0].copy(), np.ones(a.shape, dtype=np.complex128))
     w, v = _eigh(a)
     zero = scale == 0.0
     if zero.any():

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import core, linalg
 from .decomposition import HermitianDecomposition, residual
-from .errors import NotRealDecomposable, NotShape22, RealityViolation
+from .errors import ConstructionFailed, NotRealDecomposable, NotShape22, RealityViolation
 
 RD_TOL = 1e-8
 NF_TOL = 1e-8
@@ -127,7 +127,7 @@ def real_decompose(h: core.HermitianTensor, rd_tol: float = RD_TOL) -> Hermitian
     d = HermitianDecomposition(h.dims, terms)
     res = residual(d, h)
     if res > rd_tol * max(core.norm(h), 1e-300):
-        raise ArithmeticError(f"real decomposition residual {res:.3e} above tolerance")
+        raise ConstructionFailed(f"real decomposition residual {res:.3e} above tolerance")
     return d
 
 
@@ -238,7 +238,7 @@ def normal_form_22(h: core.HermitianTensor, nf_tol: float = NF_TOL) -> NormalFor
     g = a_blk + np.outer(v_shift, v_shift)
     wg, vg = _sym_eig2(g)
     if wg[0] <= 0:
-        raise ArithmeticError("definitizing shift failed to produce a positive block")
+        raise ConstructionFailed("definitizing shift failed to produce a positive block")
     u_whiten = (vg / np.sqrt(wg)).T  # U G U^T = I
     c2 = u_whiten @ c_blk @ u_whiten.T
     wd, vd = _sym_eig2((c2 + c2.T) / 2.0)
@@ -264,16 +264,17 @@ def _check_normal_form(h: core.HermitianTensor, nf: NormalForm22, nf_tol: float)
     want = _normal_form_matrix(nf)
     dev = float(np.abs(got - want).max())
     if dev > nf_tol * max(1.0, float(np.abs(want).max())):
-        raise ArithmeticError(f"normal form reconstruction off by {dev:.3e}")
+        raise ConstructionFailed(f"normal form reconstruction off by {dev:.3e}")
 
 
-def real_decompose_22(h: core.HermitianTensor, rd_tol: float = RD_TOL) -> HermitianDecomposition:
+def real_decompose_22(h: core.HermitianTensor, rd_tol: float = RD_TOL,
+                      nf_tol: float = NF_TOL) -> HermitianDecomposition:
     """Length <= 5 real decomposition of a real-decomposable [2,2] tensor.
 
     Uses the normal form: four explicit terms when s = 0, five (four if
     u = 0) otherwise, pulled back through the inverse congruence.
     """
-    nf = normal_form_22(h)
+    nf = normal_form_22(h, nf_tol)
     d1, d2 = float(nf.D[0, 0]), float(nf.D[1, 1])
     e1, e2 = _unit(2, 0), _unit(2, 1)
     terms = []
@@ -304,5 +305,5 @@ def real_decompose_22(h: core.HermitianTensor, rd_tol: float = RD_TOL) -> Hermit
     d = HermitianDecomposition(h.dims, pulled)
     res = residual(d, h)
     if res > rd_tol * max(core.norm(h), 1e-300):
-        raise ArithmeticError(f"[2,2] decomposition residual {res:.3e} above tolerance")
+        raise ConstructionFailed(f"[2,2] decomposition residual {res:.3e} above tolerance")
     return d

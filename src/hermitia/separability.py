@@ -126,7 +126,7 @@ def psd_kron_to_decomposition(pk: PsdKronDecomp, eig_tol: float = linalg.EIG_TOL
     for blocks in pk.terms:
         per_mode = []
         for b in blocks:
-            sd = linalg.herm_eig((b + np.asarray(b).conj().T) / 2.0)
+            sd = linalg.herm_eig(b)
             scale = max(1.0, float(np.abs(sd.eigenvalues).max()))
             if sd.eigenvalues[0] < -eig_tol * scale:
                 raise BlockNotPsd(f"block has eigenvalue {sd.eigenvalues[0]:.3e}")

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from hermitia import core, decomposition as dec, flatten, io as hio
+from hermitia import cli, core, decomposition as dec, flatten, io as hio
 from hermitia.cli import run
 
 from conftest import hankel_tensor, hankel_witness, separable_62_matrix
@@ -279,3 +279,97 @@ def test_never_crashes_on_garbage_files(tmp_path):
         for verb in verbs:
             code = run(verb + [str(path)])
             assert code in (1, 2, 64, 65), (verb, text, code)
+
+
+def test_sym_tol_reaches_the_loader(tmp_path):
+    # the 1111 entry 1 + 2e-9i breaks conjugate symmetry by 4e-9
+    path = tmp_path / "asym.hten"
+    path.write_text("HTEN 1\ndims 2\n1 1 1 2e-9\n2 2 1 0\n")
+    assert run(["validate", str(path)]) == 1
+    assert run(["--tol", "symTol=1e-8", "validate", str(path)]) == 0
+    ident = tmp_path / "id.hten"
+    hio.save_hten(ident, core.identity_tensor((2,)))
+    assert run(["sep-witness", str(ident), "--witness", str(path)]) == 65
+    assert run(["--tol", "symTol=1e-8", "sep-witness", str(ident), "--witness", str(path)]) in (1, 2)
+
+
+def test_nf_tol_reaches_the_normal_form(hankel_file, capsys):
+    assert run(["real-decompose-22", hankel_file]) == 0
+    capsys.readouterr()
+    # the normal form reconstructs to about 1e-16, never to 1e-300
+    assert run(["--json", "--tol", "nfTol=1e-300", "real-decompose-22", hankel_file]) == 2
+    assert "normal form" in json.loads(capsys.readouterr().out)["detail"]
+
+
+def test_real_decompose_bound_honours_rank_tol(tmp_path, capsys):
+    # e1111 + 1e-7 e2222: flattening rank 2 at the default rankTol, 1 at 1e-5
+    e = [core.basis_tensor(I, I, 1.0, (2, 2)) for I in ((1, 1), (2, 2))]
+    path = tmp_path / "d.hten"
+    hio.save_hten(path, core.validate((2, 2), e[0].mat + 1e-7 * e[1].mat))
+    bounds = []
+    for tol in ([], ["--tol", "rankTol=1e-5"]):
+        assert run(["--json", *tol, "real-decompose", str(path)]) == 0
+        bounds.append(json.loads(capsys.readouterr().out)["flattening_lower_bound"])
+    assert bounds == [2, 1]
+
+
+@pytest.mark.parametrize("verb", ["real-decompose", "real-decompose-22"])
+def test_failed_real_construction_is_unknown(verb, hankel_file, capsys):
+    # the residual is about 5e-15, so rdTol=1e-300 fails the construction's own check
+    assert run(["--json", "--tol", "rdTol=1e-300", verb, hankel_file]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "UNKNOWN"
+    assert "residual" in report["detail"]
+
+
+VERB_ARGV = {
+    "info": ["{t}"],
+    "validate": ["{bad}"],
+    "flatten": ["{t}", "--out", "{out}"],
+    "bounds": ["{t}"],
+    "basis-decompose": ["--dims", "2,2", "--I", "1,1", "--J", "2,2", "--out", "{out}"],
+    "kruskal": ["{d}"],
+    "jennrich": ["{t}", "--rmax", "2", "--out", "{out}"],
+    "real-check": ["{t}"],
+    "real-decompose": ["{t}", "--out", "{out}"],
+    "real-decompose-22": ["{t}", "--out", "{out}"],
+    "eig": ["{t}", "--starts", "4"],
+    "ortho": ["{t}"],
+    "unitary-check": ["{t}", "--out", "{out}"],
+    "hsos": ["{t}", "--out", "{out}"],
+    "csos": ["{t}", "--iters", "50", "--out", "{out}"],
+    "omega": ["{t}", "--k", "1,1", "--out", "{out}"],
+    "psd": ["{t}", "--effort", "1"],
+    "sep-verify": ["{t}", "--decomposition", "{d}"],
+    "sep-witness": ["{t}", "--witness", "{w}"],
+    "sep-search": ["{t}", "--r", "2", "--iters", "20", "--out", "{out}"],
+    "sep-pipeline": ["{t}", "--effort", "2", "--out", "{out}"],
+    "random": ["--dims", "2,2", "--out", "{out}"],
+    "expected-rank": ["--dims", "2,2"],
+}
+
+
+@pytest.mark.parametrize("verb", sorted(cli.VERBS))
+def test_every_verb_emits_json(verb, hankel_file, tmp_path, capsys):
+    d = tmp_path / "d.hdec"
+    hio.save_hdec(d, dec.basis_decomposition((1, 1), (2, 2), 1.0, (2, 2)))
+    w = tmp_path / "w.hten"
+    hio.save_hten(w, hankel_witness())
+    bad = tmp_path / "bad.hten"
+    bad.write_text("HTEN 1\ndims 2\n1 2 1 0\n2 1 1 0\n")
+    files = {"t": hankel_file, "d": d, "w": w, "bad": bad, "out": tmp_path / "out"}
+    code = run(["--json", verb] + [a.format(**files) for a in VERB_ARGV[verb]])
+    report = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert code in (0, 1, 2)
+    if verb == "validate":
+        assert code == 1
+        assert report["valid"] is False and report["detail"]
+
+
+@pytest.mark.parametrize("argv", [["hsos", "{id}"], ["random", "--dims", "2,2"]], ids=["hsos", "random"])
+def test_unwritable_out_exits_64(argv, tmp_path, capsys):
+    ident = tmp_path / "id.hten"
+    hio.save_hten(ident, core.identity_tensor((2, 2)))
+    out = tmp_path / "missing" / "out"
+    assert run([a.format(id=ident) for a in argv] + ["--out", str(out)]) == 64
+    assert "cannot write" in capsys.readouterr().err
