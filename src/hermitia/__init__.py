@@ -8,7 +8,9 @@ and separability verification with dual witnesses.
 
 from . import core, decomposition, flatten, io, linalg, psd_sos, real_herm, separability, spectral
 from .core import (
+    TOL,
     HermitianTensor,
+    Tolerances,
     basis_tensor,
     congruent,
     eval_poly,

@@ -14,6 +14,8 @@ the input, writes ``--out``, emits the report and maps the exit code for all.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import json
 import sys
 
@@ -26,6 +28,8 @@ from .errors import (
     FormatError,
     HermitiaError,
     NonRealDiagonal,
+    NotRealDecomposable,
+    NotShape22,
     OrderTooSmall,
     RankBudgetExceeded,
     RealityViolation,
@@ -41,21 +45,6 @@ _AFFIRMATIVE = ("DECOMPOSED", "FEASIBLE", "MEMBER", "PSD_CERTIFIED", "SEPARABLE_
 _REFUTED = ("NO", "NOT_PSD_WITNESS", "ENTANGLED_WITNESS", "NOT_REAL_DECOMPOSABLE")
 # every other status (UNKNOWN, INCONCLUSIVE, INFEASIBLE_HINT) exits EXIT_UNKNOWN
 STATUS_EXIT = {**dict.fromkeys(_AFFIRMATIVE, EXIT_OK), **dict.fromkeys(_REFUTED, EXIT_NEGATIVE)}
-
-TOL_NAMES = {
-    "symTol": core.SYM_TOL,
-    "eigTol": linalg.EIG_TOL,
-    "rankTol": linalg.RANK_REL_TOL,
-    "cpTol": decomposition.CP_TOL,
-    "rdTol": real_herm.RD_TOL,
-    "nfTol": real_herm.NF_TOL,
-    "eigTupleTol": spectral.EIG_TUPLE_TOL,
-    "eigGapTol": spectral.EIG_GAP_TOL,
-    "r1Tol": spectral.R1_TOL,
-    "gramTol": psd_sos.GRAM_TOL,
-    "witTol": psd_sos.WIT_TOL,
-    "sepTol": separability.SEP_TOL,
-}
 
 
 class _UsageError(Exception):
@@ -120,25 +109,26 @@ def _fmt_val(v):
     return str(v)
 
 
-def _tols(args) -> dict:
-    out = dict(TOL_NAMES)
+def _tols(args) -> core.Tolerances:
+    known = [f.name for f in dataclasses.fields(core.Tolerances)]
+    out = {}
     for item in args.tol or []:
-        if "=" not in item:
+        name, eq, val = item.partition("=")
+        if not eq:
             raise _UsageError(f"--tol expects name=value, got {item!r}")
-        name, _, val = item.partition("=")
-        if name not in out:
-            raise _UsageError(f"unknown tolerance {name!r}; known: {', '.join(sorted(out))}")
+        if name not in known:
+            raise _UsageError(f"unknown tolerance {name!r}; known: {', '.join(sorted(known))}")
         try:
             out[name] = float(val)
         except ValueError as exc:
             raise _UsageError(f"bad tolerance value {val!r}") from exc
-    return out
+    return dataclasses.replace(core.TOL, **out)
 
 
-def _read(load, path, **kwargs):
+def _read(load, path, *args):
     """Load a file; an unreadable path counts as a malformed input."""
     try:
-        return load(path, **kwargs)
+        return load(path, *args)
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
 
@@ -185,7 +175,7 @@ def _info(h, args, tols):
 @_verb("validate", _arg("input"), hten=False)
 def _validate(h, args, tols):
     try:
-        h = _read(io.load_hten, args.input, sym_tol=tols["symTol"])
+        h = _read(io.load_hten, args.input, tols)
     except HermitiaError as exc:
         return {"valid": False, "detail": str(exc)}, EXIT_NEGATIVE, None
     return {"valid": True, "dims": list(h.dims)}, EXIT_OK, None
@@ -195,12 +185,12 @@ def _validate(h, args, tols):
 def _flatten(h, args, tols):
     fm = flatten.hermitian_flatten(h) if args.map == "m" else flatten.kronecker_flatten(h)
     return {"map": args.map, "rows": fm.rows, "cols": fm.cols,
-            "rank": linalg.matrix_rank(fm.mat, tols["rankTol"])}, EXIT_OK, fm
+            "rank": linalg.matrix_rank(fm.mat, tols.rankTol)}, EXIT_OK, fm
 
 
 @_verb("bounds")
 def _bounds(h, args, tols):
-    rep = flatten.hrank_lower_bound(h, tols["rankTol"])
+    rep = flatten.hrank_lower_bound(h, tols)
     report = {"m_rank": rep.m_rank, "kappa_rank": rep.kappa_rank, "lower_bound": rep.bound}
     return report, EXIT_OK, None
 
@@ -216,7 +206,7 @@ def _basis_decompose(h, args, tols):
 
 @_verb("kruskal", _arg("input", help="HDEC file"), hten=False)
 def _kruskal(h, args, tols):
-    rep = decomposition.kruskal_certify(_read(io.load_hdec, args.input), tols["rankTol"])
+    rep = decomposition.kruskal_certify(_read(io.load_hdec, args.input), tols)
     report = {"kruskal_ranks": list(rep.kruskal_ranks), "rank": rep.rank,
               "certified": rep.certified, "margin": rep.margin}
     return report, EXIT_OK if rep.certified else EXIT_UNKNOWN, None
@@ -224,49 +214,44 @@ def _kruskal(h, args, tols):
 
 @_verb("jennrich", _arg("--rmax", type=int, required=True), _OUT)
 def _jennrich(h, args, tols):
-    out = decomposition.jennrich_decompose(h, args.rmax, seed=args.seed, cp_tol=tols["cpTol"])
+    out = decomposition.jennrich_decompose(h, args.rmax, seed=args.seed, tols=tols)
     if isinstance(out, decomposition.Unknown):
         return {"status": "UNKNOWN", "reason": out.reason, "seed": args.seed}, "UNKNOWN", None
     return {"status": "DECOMPOSED", "terms": len(out),
             "residual": decomposition.residual(out, h), "seed": args.seed}, "DECOMPOSED", out
 
 
-def _witness_text(witness) -> str:
-    def label(t):
-        return "".join(str(x) for x in t) if all(x <= 9 for x in t) else ",".join(map(str, t))
-    return " vs ".join(label(I) + label(J) for I, J in (witness[:2], witness[2:]))
-
-
 @_verb("real-check")
 def _real_check(h, args, tols):
     try:
-        ok, witness = real_herm.is_real_decomposable(h, tols["symTol"])
+        real_herm.real_decomposable_array(h, tols)
+    except NotRealDecomposable as exc:
+        return {"real_decomposable": False, "witness": str(exc)}, EXIT_NEGATIVE, None
     except RealityViolation as exc:
         return {"real_decomposable": False, "detail": str(exc)}, EXIT_NEGATIVE, None
-    if ok:
-        return {"real_decomposable": True}, EXIT_OK, None
-    return {"real_decomposable": False, "witness": _witness_text(witness)}, EXIT_NEGATIVE, None
+    return {"real_decomposable": True}, EXIT_OK, None
 
 
 @_verb("real-decompose-22", _OUT)
 @_verb("real-decompose", _OUT)
 def _real_decompose(h, args, tols):
+    decompose = real_herm.real_decompose if args.verb == "real-decompose" else real_herm.real_decompose_22
     try:
-        d = (real_herm.real_decompose(h, rd_tol=tols["rdTol"]) if args.verb == "real-decompose"
-             else real_herm.real_decompose_22(h, rd_tol=tols["rdTol"], nf_tol=tols["nfTol"]))
-    except HermitiaError as exc:
+        d = decompose(h, tols)
+    except (NotRealDecomposable, RealityViolation) as exc:
+        return {"status": "NOT_REAL_DECOMPOSABLE", "detail": str(exc)}, "NOT_REAL_DECOMPOSABLE", None
+    except ConstructionFailed as exc:
         # a failed construction on an input that passed the real test is no verdict
-        status = "UNKNOWN" if isinstance(exc, ConstructionFailed) else "NOT_REAL_DECOMPOSABLE"
-        return {"status": status, "detail": str(exc)}, status, None
+        return {"status": "UNKNOWN", "detail": str(exc)}, "UNKNOWN", None
     report = {"status": "DECOMPOSED", "terms": len(d), "residual": decomposition.residual(d, h),
-              "flattening_lower_bound": flatten.hrank_lower_bound(h, tols["rankTol"]).bound}
+              "flattening_lower_bound": flatten.hrank_lower_bound(h, tols).bound}
     return report, "DECOMPOSED", d
 
 
 @_verb("eig", _FIELD, _arg("--starts", type=int, default=spectral.DEFAULT_STARTS))
 def _eig(h, args, tols):
     search = spectral.herm_eigenpair(h, seed=args.seed, field=args.field,
-                                     starts=args.starts, tol=tols["eigTupleTol"])
+                                     starts=args.starts, tols=tols)
     return {"seed": args.seed, "field": args.field, "failed_starts": search.failed_starts,
             "tuples": [{"lambda": t.value, "max_residual": max(t.residuals)}
                        for t in search.tuples]}, EXIT_OK, None
@@ -274,14 +259,14 @@ def _eig(h, args, tols):
 
 @_verb("ortho")
 def _ortho(h, args, tols):
-    od = spectral.orthogonal_decompose(h, tols["rankTol"], tols["r1Tol"])
+    od = spectral.orthogonal_decompose(h, tols)
     return {"terms": [{"lambda": t.value, "rank1_residual": t.rank1_residual,
                        "unit_rank1": t.unit_rank1} for t in od.terms]}, EXIT_OK, None
 
 
 @_verb("unitary-check", _OUT)
 def _unitary_check(h, args, tols):
-    rep = spectral.unitary_decomposable(h, tols["eigGapTol"], tols["r1Tol"])
+    rep = spectral.unitary_decomposable(h, tols)
     report = {"status": rep.status, "note": rep.note}
     if rep.decomposition is not None:
         report["terms"] = len(rep.decomposition)
@@ -290,7 +275,7 @@ def _unitary_check(h, args, tols):
 
 @_verb("hsos", _GRAM_OUT)
 def _hsos(h, args, tols):
-    res = psd_sos.hsos_test(h, tols["eigTol"])
+    res = psd_sos.hsos_test(h, tols)
     if res.is_hsos:
         return {"hsos": True, "gram_residual": res.certificate.residual}, EXIT_OK, res.certificate
     return {"hsos": False, "negative_eigenvalue": res.negative_eigenvalue}, EXIT_NEGATIVE, None
@@ -298,7 +283,7 @@ def _hsos(h, args, tols):
 
 @_verb("csos", _arg("--iters", type=int, default=psd_sos.CSOS_ITERS), _GRAM_OUT)
 def _csos(h, args, tols):
-    res = psd_sos.csos_test(h, iters=args.iters, gram_tol=tols["gramTol"])
+    res = psd_sos.csos_test(h, iters=args.iters, tols=tols)
     report = {"status": res.status, "iterations": res.iterations, "residual": res.residual}
     return report, res.status, res.certificate
 
@@ -306,16 +291,14 @@ def _csos(h, args, tols):
 @_verb("omega", _arg("--k", required=True, type=_dims_arg,
                      help="comma-separated powers, one per mode"), _GRAM_OUT)
 def _omega(h, args, tols):
-    res = psd_sos.multiplier_hsos_test(h, args.k, eig_tol=tols["eigTol"])
+    res = psd_sos.multiplier_hsos_test(h, args.k, tols=tols)
     return {"status": res.status, "powers": list(res.powers),
             "min_eigenvalue": res.min_eigenvalue}, res.status, res.certificate
 
 
 @_verb("psd", _FIELD, _arg("--effort", type=int, default=2))
 def _psd(h, args, tols):
-    res = psd_sos.psd_verdict(h, field=args.field, effort=args.effort,
-                              seed=args.seed, wit_tol=tols["witTol"], eig_tol=tols["eigTol"],
-                              eig_tuple_tol=tols["eigTupleTol"])
+    res = psd_sos.psd_verdict(h, field=args.field, effort=args.effort, seed=args.seed, tols=tols)
     report = {"status": res.status, "field": res.field, "note": res.note, "seed": args.seed}
     if res.witness_value is not None:
         report["witness_value"] = res.witness_value
@@ -325,22 +308,21 @@ def _psd(h, args, tols):
 @_verb("sep-verify", _arg("--decomposition", required=True), _FIELD)
 def _sep_verify(h, args, tols):
     d = _read(io.load_hdec, args.decomposition)
-    ok = separability.verify_positive_decomposition(d, h, args.field, tols["sepTol"])
+    ok = separability.verify_positive_decomposition(d, h, args.field, tols)
     return {"verified": ok, "field": args.field}, EXIT_OK if ok else EXIT_NEGATIVE, None
 
 
 @_verb("sep-witness", _arg("--witness", required=True))
 def _sep_witness(h, args, tols):
-    b = _read(io.load_hten, args.witness, sym_tol=tols["symTol"])
-    res = separability.dual_witness_check(h, b, tols["witTol"])
+    b = _read(io.load_hten, args.witness, tols)
+    res = separability.dual_witness_check(h, b, tols)
     return {"status": res.status, "inner": res.value}, res.status, None
 
 
 @_verb("sep-search", _arg("--r", type=int, required=True),
        _arg("--iters", type=int, default=200), _OUT)
 def _sep_search(h, args, tols):
-    res = separability.separable_search(h, args.r, seed=args.seed,
-                                        iters=args.iters, sep_tol=tols["sepTol"])
+    res = separability.separable_search(h, args.r, seed=args.seed, iters=args.iters, tols=tols)
     report = {"status": res.status, "note": res.note, "seed": args.seed}
     if res.decomposition is not None:
         report["terms"] = len(res.decomposition)
@@ -351,8 +333,7 @@ def _sep_search(h, args, tols):
        _arg("--out", help="write the verdict as a SEPV record"))
 def _sep_pipeline(h, args, tols):
     res = separability.separability_pipeline(h, args.field, effort=args.effort,
-                                             seed=args.seed, sep_tol=tols["sepTol"],
-                                             wit_tol=tols["witTol"], eig_tol=tols["eigTol"])
+                                             seed=args.seed, tols=tols)
     report = {"status": res.status, "field": res.field, "note": res.note, "seed": args.seed}
     if res.witness_value is not None:
         report["witness_value"] = res.witness_value
@@ -390,14 +371,18 @@ def build_parser() -> _Parser:
     return p
 
 
+_parser = functools.cache(build_parser)  # one tree per process; parsing leaves it unchanged
+
+
 def run(argv) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         tols = _tols(args)
         handler, _, hten = VERBS[args.verb]
-        h = _read(io.load_hten, args.input, sym_tol=tols["symTol"]) if hten else None
+        h = _read(io.load_hten, args.input, tols) if hten else None
         report, status, artifact = handler(h, args, tols)
-    except (_UsageError, RankBudgetExceeded, BasisTooLarge, NonRealDiagonal, OrderTooSmall) as exc:
+    except (_UsageError, RankBudgetExceeded, BasisTooLarge, NonRealDiagonal, NotShape22,
+            OrderTooSmall) as exc:
         # the library errors listed here come from bad flag values, not bad files
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -15,7 +15,7 @@ tuple comparison.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,7 +26,27 @@ from .errors import (
     SymmetryViolation,
 )
 
-SYM_TOL = 1e-9
+
+@dataclass(frozen=True)
+class Tolerances:
+    """The named numerical thresholds, one field per ``--tol`` name; pass
+    ``dataclasses.replace(TOL, eigTol=1e-9)`` as ``tols`` to override one."""
+
+    symTol: float = 1e-9  # conjugate and entry symmetry, absolute
+    eigTol: float = 1e-10  # psd tests: least eigenvalue >= -eigTol * scale
+    rankTol: float = 1e-8  # matrix rank: singular values above rankTol * largest
+    cpTol: float = 1e-7  # Jennrich residual, relative to the norm
+    rdTol: float = 1e-8  # real decomposition residual, relative to the norm
+    nfTol: float = 1e-8  # [2,2] normal form reconstruction, relative
+    eigTupleTol: float = 1e-8  # eigentuple stationarity residual
+    eigGapTol: float = 1e-6  # nonzero eigenvalues closer than this (relative) repeat
+    r1Tol: float = 1e-7  # rank-1 residual of a unit eigentensor
+    gramTol: float = 1e-7  # CSOS coefficient mismatch
+    witTol: float = 1e-9  # a witness value must lie below -witTol
+    sepTol: float = 1e-7  # positive decomposition residual, relative to the norm
+
+
+TOL = Tolerances()
 
 
 def check_dims(dims) -> tuple[int, ...]:
@@ -71,9 +91,11 @@ def flat_index(dims, index) -> int:
 class HermitianTensor:
     """Immutable dense Hermitian tensor.
 
-    ``mat`` holds the N-by-N entry matrix H[I, J]; it is conjugate
-    symmetric within ``SYM_TOL``, copied on construction, and marked
-    read-only.
+    ``mat`` holds the N-by-N entry matrix H[I, J], copied on construction
+    and marked read-only.  Direct construction checks only the shape: it
+    is the trusted internal constructor for entries that are Hermitian by
+    construction.  Build tensors from outside input with ``validate``,
+    which checks finiteness and conjugate symmetry.
     """
 
     dims: tuple[int, ...]
@@ -123,10 +145,10 @@ def _coerce_entries(dims, raw) -> np.ndarray:
     return arr
 
 
-def validate(dims, raw, sym_tol: float = SYM_TOL) -> HermitianTensor:
+def validate(dims, raw, tols: Tolerances = TOL) -> HermitianTensor:
     """Build a Hermitian tensor from raw entries.
 
-    Conjugate symmetry must hold within ``sym_tol`` (absolute, entrywise);
+    Conjugate symmetry must hold within ``symTol`` (absolute, entrywise);
     the result averages H[I, J] with conj(H[J, I]), which also zeroes
     imaginary parts on the diagonal.
     """
@@ -135,9 +157,9 @@ def validate(dims, raw, sym_tol: float = SYM_TOL) -> HermitianTensor:
     if not (np.all(np.isfinite(arr.real)) and np.all(np.isfinite(arr.imag))):
         raise ShapeMismatch("entries must be finite (no NaN/Inf)")
     dev = np.max(np.abs(arr - arr.conj().T)) if arr.size else 0.0
-    if dev > sym_tol:
+    if dev > tols.symTol:
         raise SymmetryViolation(
-            f"conjugate symmetry violated: max |H[I,J] - conj(H[J,I])| = {dev:.3e} > {sym_tol:.1e}"
+            f"conjugate symmetry violated: max |H[I,J] - conj(H[J,I])| = {dev:.3e} > {tols.symTol:.1e}"
         )
     return HermitianTensor(dims, (arr + arr.conj().T) / 2.0)
 
@@ -189,13 +211,14 @@ def rank1(lam: float, vectors, dims=None) -> HermitianTensor:
     return HermitianTensor(tuple(dims), lam * np.outer(z, z.conj()))
 
 
-def inner(a: HermitianTensor, b: HermitianTensor, sym_tol: float = SYM_TOL) -> float:
-    """Real inner product sum_{I,J} a[I,J] * conj(b[I,J])."""
+def inner(a: HermitianTensor, b: HermitianTensor, tols: Tolerances = TOL) -> float:
+    """Real inner product sum_{I,J} a[I,J] * conj(b[I,J]); an imaginary
+    residue above ``symTol`` raises ``NonRealInner``."""
     if a.dims != b.dims:
         raise ShapeMismatch(f"shapes differ: {a.dims} vs {b.dims}")
     val = complex(np.vdot(b.mat, a.mat))
-    if abs(val.imag) > sym_tol:
-        raise NonRealInner(f"imaginary residue {val.imag:.3e} exceeds {sym_tol:.1e}")
+    if abs(val.imag) > tols.symTol:
+        raise NonRealInner(f"imaginary residue {val.imag:.3e} exceeds {tols.symTol:.1e}")
     return float(val.real)
 
 
@@ -234,7 +257,7 @@ def matmul(ms, t: np.ndarray) -> np.ndarray:
     return t
 
 
-def congruent(qs, a: HermitianTensor, sym_tol: float = SYM_TOL) -> HermitianTensor:
+def congruent(qs, a: HermitianTensor, tols: Tolerances = TOL) -> HermitianTensor:
     """Multilinear congruent transform (Q1, ..., Qm, conj(Q1), ..., conj(Qm)) x a.
 
     Each Qk must be square nk-by-nk; unitary Qk preserve the norm.
@@ -246,7 +269,8 @@ def congruent(qs, a: HermitianTensor, sym_tol: float = SYM_TOL) -> HermitianTens
         if q.shape != (n, n):
             raise ShapeMismatch(f"congruence matrix has shape {q.shape}, expected {(n, n)}")
     out = matmul(qs + [q.conj() for q in qs], a.as_array())
-    return validate(a.dims, out, sym_tol=max(sym_tol, 1e-12 * (1.0 + float(np.abs(out).max()))))
+    sym_tol = max(tols.symTol, 1e-12 * (1.0 + float(np.abs(out).max())))
+    return validate(a.dims, out, replace(tols, symTol=sym_tol))
 
 
 def basis_tensor(I, J, c, dims) -> HermitianTensor:

@@ -26,7 +26,6 @@ from .errors import (
     ShapeMismatch,
 )
 
-CP_TOL = 1e-7
 ZERO_NORM_TOL = 1e-14
 
 Term = tuple[float, tuple[np.ndarray, ...]]
@@ -124,7 +123,7 @@ class KruskalReport:
     margin: int
 
 
-def _kruskal_rank(vectors: list[np.ndarray], rel_tol: float = linalg.RANK_REL_TOL) -> int:
+def _kruskal_rank(vectors: list[np.ndarray], rel_tol: float) -> int:
     """Largest k such that every k-subset is linearly independent.
 
     Exhaustive subset rank tests; exact at desk scale (r <= 12 or so).
@@ -139,12 +138,13 @@ def _kruskal_rank(vectors: list[np.ndarray], rel_tol: float = linalg.RANK_REL_TO
     return min(r, n)
 
 
-def kruskal_certify(d: HermitianDecomposition, rel_tol: float = linalg.RANK_REL_TOL) -> KruskalReport:
+def kruskal_certify(d: HermitianDecomposition, tols: core.Tolerances = core.TOL) -> KruskalReport:
     """Certify minimality of a decomposition via the Kruskal condition.
 
-    With k_i the Kruskal rank of the mode-i vector set, the condition
-    sum_i k_i >= r + m certifies the assembled tensor has Hermitian rank
-    exactly r, with an essentially unique rank decomposition.
+    With k_i the Kruskal rank of the mode-i vector set (ranks at
+    ``rankTol``), the condition sum_i k_i >= r + m certifies the assembled
+    tensor has Hermitian rank exactly r, with an essentially unique rank
+    decomposition.
     """
     if d.order <= 1:
         raise ShapeMismatch("Kruskal certification requires order m > 1")
@@ -154,7 +154,7 @@ def kruskal_certify(d: HermitianDecomposition, rel_tol: float = linalg.RANK_REL_
     for lam, vectors in d.terms:
         if lam == 0.0 or any(float(np.linalg.norm(v)) == 0.0 for v in vectors):
             raise DegenerateTerm("terms must have nonzero coefficients and vectors")
-    ks = tuple(_kruskal_rank(d.mode_vectors(k), rel_tol) for k in range(1, d.order + 1))
+    ks = tuple(_kruskal_rank(d.mode_vectors(k), tols.rankTol) for k in range(1, d.order + 1))
     total = sum(ks)
     return KruskalReport(ks, r, total >= r + d.order, total - (r + d.order))
 
@@ -277,7 +277,7 @@ def jennrich_decompose(
     h: core.HermitianTensor,
     rmax: int,
     seed: int,
-    cp_tol: float = CP_TOL,
+    tols: core.Tolerances = core.TOL,
 ) -> HermitianDecomposition | Unknown:
     """Recover a short Hermitian decomposition by simultaneous diagonalization.
 
@@ -286,7 +286,8 @@ def jennrich_decompose(
     the pair exposes the combined mode vectors, which are split per mode
     by rank-1 factorization and completed with a real least-squares fit
     of the coefficients.  Returns Unknown when the mixture spectrum is
-    degenerate or the residual stays above ``cp_tol * norm(h)``.
+    degenerate or the residual stays above ``cpTol * norm(h)``; the rank
+    of the first unfolding, at ``rankTol``, caps the term count.
     """
     hnorm = core.norm(h)
     if hnorm <= ZERO_NORM_TOL:
@@ -307,12 +308,12 @@ def jennrich_decompose(
         pairs.sort(key=lambda p: -abs(p[0]))
         terms = tuple((w, (linalg.phase_normalize(v),)) for w, v in pairs[:rmax])
         d = HermitianDecomposition(h.dims, terms)
-        if residual(d, h) > cp_tol * hnorm:
+        if residual(d, h) > tols.cpTol * hnorm:
             return Unknown("residual above tolerance at the requested rank budget")
         return d
 
     unfold1 = cubic.array.reshape(n1, n2 * n3)
-    r = min(rmax, linalg.matrix_rank(unfold1))
+    r = min(rmax, linalg.matrix_rank(unfold1, tols.rankTol))
     if r == 0:
         return HermitianDecomposition(h.dims, ())
 
@@ -347,7 +348,7 @@ def jennrich_decompose(
         (float(lam), vs) for lam, vs in zip(lams, tuples) if abs(lam) > 1e-12 * max(1.0, hnorm)
     )
     d = HermitianDecomposition(h.dims, terms)
-    if residual(d, h) > cp_tol * hnorm:
+    if residual(d, h) > tols.cpTol * hnorm:
         return Unknown("residual above tolerance at the requested rank budget")
     return d
 

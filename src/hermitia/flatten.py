@@ -79,15 +79,16 @@ def _as_m_matrix(mat) -> np.ndarray:
     return np.asarray(getattr(mat, "mat", mat), dtype=np.complex128)
 
 
-def hermitian_unflatten(mat, dims, sym_tol: float = core.SYM_TOL) -> core.HermitianTensor:
-    """Inverse of the Hermitian flattening; entries are kept bit-for-bit."""
+def hermitian_unflatten(mat, dims, tols: core.Tolerances = core.TOL) -> core.HermitianTensor:
+    """Inverse of the Hermitian flattening of a matrix Hermitian within
+    ``symTol``; entries are kept bit-for-bit."""
     dims = core.check_dims(dims)
     n = core.size_of(dims)
     arr = _as_m_matrix(mat)
     if arr.shape != (n, n):
         raise ShapeMismatch(f"matrix has shape {arr.shape}, expected {(n, n)} for {dims}")
     dev = float(np.abs(arr - arr.conj().T).max()) if arr.size else 0.0
-    if dev > sym_tol:
+    if dev > tols.symTol:
         raise SymmetryViolation(f"matrix is not Hermitian: deviation {dev:.3e}")
     return core.HermitianTensor(dims, arr)
 
@@ -145,12 +146,13 @@ def kronecker_flatten(h: core.HermitianTensor) -> FlatMatrix:
     return FlatMatrix(out.copy(), KRONECKER_K)
 
 
-def hrank_lower_bound(h: core.HermitianTensor, rel_tol: float = linalg.RANK_REL_TOL) -> BoundReport:
-    """max of the two flattening ranks; a lower bound on the Hermitian rank."""
-    m_rank = linalg.matrix_rank(hermitian_flatten(h).mat, rel_tol)
+def hrank_lower_bound(h: core.HermitianTensor, tols: core.Tolerances = core.TOL) -> BoundReport:
+    """max of the two flattening ranks (at ``rankTol``); a lower bound on
+    the Hermitian rank."""
+    m_rank = linalg.matrix_rank(hermitian_flatten(h).mat, tols.rankTol)
     kappa_rank = None
     if h.order >= 2:
-        kappa_rank = linalg.matrix_rank(kronecker_flatten(h).mat, rel_tol)
+        kappa_rank = linalg.matrix_rank(kronecker_flatten(h).mat, tols.rankTol)
     bound = max(m_rank, kappa_rank or 0)
     return BoundReport(m_rank, kappa_rank, bound)
 

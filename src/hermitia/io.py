@@ -85,7 +85,7 @@ def dumps_hten(h: core.HermitianTensor) -> str:
     return "\n".join(out) + "\n"
 
 
-def loads_hten(text: str, sym_tol: float = core.SYM_TOL) -> core.HermitianTensor:
+def loads_hten(text: str, tols: core.Tolerances = core.TOL) -> core.HermitianTensor:
     lines = _Lines(text)
     lines.expect("HTEN 1")
     header = lines.next("dims").split()
@@ -112,7 +112,7 @@ def loads_hten(text: str, sym_tol: float = core.SYM_TOL) -> core.HermitianTensor
             raise FormatError(f"entry {I}{J} violates the I <= J listing rule")
         mat[pi, pj] = val
         mat[pj, pi] = np.conj(val)
-    return core.validate(dims, mat, sym_tol)
+    return core.validate(dims, mat, tols)
 
 
 def save_hten(path, h: core.HermitianTensor):
@@ -120,9 +120,9 @@ def save_hten(path, h: core.HermitianTensor):
         fh.write(dumps_hten(h))
 
 
-def load_hten(path, sym_tol: float = core.SYM_TOL) -> core.HermitianTensor:
+def load_hten(path, tols: core.Tolerances = core.TOL) -> core.HermitianTensor:
     with open(path, encoding="utf-8") as fh:
-        return loads_hten(fh.read(), sym_tol)
+        return loads_hten(fh.read(), tols)
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import TOL
 from .errors import NoConvergence, SymmetryViolation, ZeroTensor
-
-EIG_TOL = 1e-10
-RANK_REL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -80,7 +78,7 @@ def singular_values(a) -> np.ndarray:
     return np.linalg.svd(a, compute_uv=False)
 
 
-def matrix_rank(a, rel_tol: float = RANK_REL_TOL) -> int:
+def matrix_rank(a, rel_tol: float = TOL.rankTol) -> int:
     """Count of singular values above rel_tol * (largest singular value)."""
     s = singular_values(a)
     if s.size == 0 or s[0] <= 0.0:

@@ -35,8 +35,6 @@ import numpy as np
 from . import core, flatten, linalg, real_herm, spectral
 from .errors import BasisTooLarge, RealityViolation, ShapeMismatch
 
-GRAM_TOL = 1e-7
-WIT_TOL = 1e-9
 BASIS_CAP = 64
 CSOS_ITERS = 5000
 
@@ -115,17 +113,18 @@ def hol_basis(dims) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def hsos_test(h: core.HermitianTensor, eig_tol: float = linalg.EIG_TOL) -> HsosResult:
+def hsos_test(h: core.HermitianTensor, tols: core.Tolerances = core.TOL) -> HsosResult:
     """Decide the holomorphic sum-of-squares property via the flattening.
 
     The flattening is the unique Gram matrix over the degree-(1, ..., 1)
-    holomorphic basis, so psd-ness of it is equivalent to the property.
+    holomorphic basis, so psd-ness of it (at ``eigTol``) is equivalent to
+    the property.
     """
     m = flatten.hermitian_flatten(h).mat
     sd = linalg.herm_eig(m)
     wmin = float(sd.eigenvalues[0])
     scale = float(np.linalg.norm(m))
-    if wmin >= -eig_tol * max(scale, 1.0):
+    if wmin >= -tols.eigTol * max(scale, 1.0):
         cert = GramCertificate(h.dims, hol_basis(h.dims), m.copy(), 0.0)
         return HsosResult(True, certificate=cert)
     return HsosResult(False, negative_eigenvalue=wmin, eigenvector=sd.eigenvectors[:, 0].copy())
@@ -229,13 +228,13 @@ def _group_sums(w: np.ndarray, gids: np.ndarray, ngroups: int) -> np.ndarray:
 def csos_test(
     h: core.HermitianTensor,
     iters: int = CSOS_ITERS,
-    gram_tol: float = GRAM_TOL,
+    tols: core.Tolerances = core.TOL,
 ) -> CsosResult:
     """Search for a conjugate-sum-of-squares Gram matrix.
 
     Alternating projections between the psd cone and the affine
     coefficient-matching set; FEASIBLE when a psd iterate matches all
-    coefficients within ``gram_tol``.  A stalled distance (checked with
+    coefficients within ``gramTol``.  A stalled distance (checked with
     an averaged-step fallback) yields INFEASIBLE_HINT, which is a
     heuristic only; the iteration cap yields UNKNOWN.
     """
@@ -261,7 +260,7 @@ def csos_test(
     for it in range(1, iters + 1):
         p = linalg.psd_project(w)
         res = coeff_residual(p)
-        if res <= gram_tol:
+        if res <= tols.gramTol:
             return CsosResult("FEASIBLE", GramCertificate(h.dims, basis, p, res), it, res)
         wa = affine(p)
         dist = float(np.linalg.norm(wa - p))
@@ -270,7 +269,7 @@ def csos_test(
             w = (wa + p) / 2.0
         else:
             w = wa
-        if len(dist_hist) >= 80 and res > 10.0 * gram_tol:
+        if len(dist_hist) >= 80 and res > 10.0 * tols.gramTol:
             recent, past = dist_hist[-1], dist_hist[-60]
             if past > 0 and recent >= past * (1.0 - 1e-5):
                 if not averaged:
@@ -315,17 +314,17 @@ def multiplier_hsos_test(
     powers,
     iters: int = CSOS_ITERS,
     basis_cap: int = BASIS_CAP,
-    eig_tol: float = linalg.EIG_TOL,
+    tols: core.Tolerances = core.TOL,
 ) -> OmegaResult:
     """Membership test for the multiplier cone with the given powers.
 
     Forms |x_1|^{2k_1} ... |x_m|^{2k_m} H(x, conj(x)) and checks whether
-    its Gram matrix over the multidegree-(k+1) holomorphic basis is psd.
-    Over the full holomorphic basis the matching constraints pin W down
-    uniquely (one Gram entry per monomial pair), so the feasibility
-    search degenerates to a single psd check and ``iters`` is never
-    consumed; the coefficient extraction is an exact convolution of
-    exponent tuples and the certificate residual is zero by construction.
+    its Gram matrix over the multidegree-(k+1) holomorphic basis is psd
+    (at ``eigTol``).  Over the full holomorphic basis the matching
+    constraints pin W down uniquely (one Gram entry per monomial pair), so
+    the feasibility search degenerates to a single psd check and ``iters``
+    is never consumed; the coefficient extraction is an exact convolution
+    of exponent tuples and the certificate residual is zero by construction.
     """
     dims = h.dims
     powers = tuple(int(k) for k in powers)
@@ -386,7 +385,7 @@ def multiplier_hsos_test(
     sd = linalg.herm_eig(w)
     wmin = float(sd.eigenvalues[0])
     scale = max(1.0, float(np.linalg.norm(w)))
-    if wmin >= -eig_tol * scale:
+    if wmin >= -tols.eigTol * scale:
         cert = GramCertificate(dims, tuple(basis), w, 0.0)
         return OmegaResult("MEMBER", powers, cert, wmin)
     return OmegaResult("UNKNOWN", powers, None, wmin)
@@ -454,40 +453,34 @@ def psd_verdict(
     field: str = "COMPLEX",
     effort: int = 2,
     seed: int = 0,
-    wit_tol: float = WIT_TOL,
-    eig_tol: float = linalg.EIG_TOL,
-    eig_tuple_tol: float = spectral.EIG_TUPLE_TOL,
+    tols: core.Tolerances = core.TOL,
 ) -> PsdVerdict:
     """Combined positivity verdict over the requested field.
 
     Order of attack: eigentuple multistart for a strict negativity
-    witness; the flattening psd test (sufficient over both fields);
-    multiplier memberships with total power up to ``effort`` (complex
-    field, transferred to real-decomposable real tensors); otherwise
-    UNKNOWN.
+    witness (value below ``-witTol``); the flattening psd test (sufficient
+    over both fields); multiplier memberships with total power up to
+    ``effort`` (complex field, transferred to real-decomposable real
+    tensors); otherwise UNKNOWN.
     """
     if field not in ("COMPLEX", "REAL"):
         raise ShapeMismatch(f"unknown field {field!r}")
-    search = spectral.herm_eigenpair(h, seed=seed, field=field, tol=eig_tuple_tol)
-    if search.tuples and search.tuples[0].value < -wit_tol:
+    search = spectral.herm_eigenpair(h, seed=seed, field=field, tols=tols)
+    if search.tuples and search.tuples[0].value < -tols.witTol:
         t = search.tuples[0]
         return PsdVerdict("NOT_PSD_WITNESS", field, witness=t.vectors, witness_value=t.value)
-    hs = hsos_test(h, eig_tol)
+    hs = hsos_test(h, tols)
     if hs.is_hsos:
         return PsdVerdict("PSD_CERTIFIED", field, certificate=hs.certificate,
                           note="flattening psd (holomorphic sum of squares)")
-    multiplier_ok = field == "COMPLEX"
-    note = ""
+    multiplier_ok, note = field == "COMPLEX", ""
     if field == "REAL":
         try:
-            ok, _ = real_herm.is_real_decomposable(h)
+            multiplier_ok = real_herm.is_real_decomposable(h, tols)[0]
         except RealityViolation:
-            ok = False
-        multiplier_ok = ok
-        if ok:
-            note = "real-decomposable: complex certificates transfer"
-        else:
-            note = "not real-decomposable: complex certificates do not transfer"
+            multiplier_ok = False
+        note = ("real-decomposable: complex certificates transfer" if multiplier_ok
+                else "not real-decomposable: complex certificates do not transfer")
     if multiplier_ok:
         m = h.order
         for total in range(1, effort + 1):
@@ -495,7 +488,7 @@ def psd_verdict(
                 if sum(powers) != total:
                     continue
                 try:
-                    res = multiplier_hsos_test(h, powers, eig_tol=eig_tol)
+                    res = multiplier_hsos_test(h, powers, tols=tols)
                 except BasisTooLarge:
                     continue
                 if res.status == "MEMBER":

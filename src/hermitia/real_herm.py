@@ -28,8 +28,6 @@ from . import core, linalg
 from .decomposition import HermitianDecomposition, residual
 from .errors import ConstructionFailed, NotRealDecomposable, NotShape22, RealityViolation
 
-RD_TOL = 1e-8
-NF_TOL = 1e-8
 SHIFT_EPS = 1e-6
 
 
@@ -40,14 +38,14 @@ def _real_array(h: core.HermitianTensor, tol: float) -> np.ndarray:
     return h.mat.real.reshape(h.dims + h.dims)
 
 
-def is_real_decomposable(h: core.HermitianTensor, tol: float = core.SYM_TOL):
-    """Entry-symmetry test for real decomposability.
+def is_real_decomposable(h: core.HermitianTensor, tols: core.Tolerances = core.TOL):
+    """Entry-symmetry test for real decomposability, at ``symTol``.
 
     Returns ``(True, None)`` or ``(False, (I, J, K, L))`` with the first
     two label pairs (lexicographic scan order) that share all unordered
     per-mode pairs {i_s, j_s} = {k_s, l_s} yet carry different entries.
     """
-    arr = _real_array(h, tol)
+    arr = _real_array(h, tols.symTol)
     indices = core.multi_indices(h.dims)
     seen: dict[tuple, tuple] = {}
     for I in indices:
@@ -56,11 +54,36 @@ def is_real_decomposable(h: core.HermitianTensor, tol: float = core.SYM_TOL):
             val = arr[tuple(i - 1 for i in I) + tuple(j - 1 for j in J)]
             if key in seen:
                 refI, refJ, ref = seen[key]
-                if abs(val - ref) > tol:
+                if abs(val - ref) > tols.symTol:
                     return False, (refI, refJ, I, J)
             else:
                 seen[key] = (I, J, val)
     return True, None
+
+
+def _witness_text(witness) -> str:
+    """Label pairs ``(I, J, K, L)`` as ``IJ vs KL``, e.g. ``1122 vs 1221``."""
+    def label(t):
+        return "".join(str(x) for x in t) if all(x <= 9 for x in t) else ",".join(map(str, t))
+    return " vs ".join(label(I) + label(J) for I, J in (witness[:2], witness[2:]))
+
+
+def real_decomposable_array(h: core.HermitianTensor, tols: core.Tolerances = core.TOL) -> np.ndarray:
+    """Real entry array, axes (i1..im, j1..jm), of a tensor that passes
+    ``is_real_decomposable``, averaged over swapping i_s and j_s in every
+    mode s, so that it is exactly real-decomposable.
+
+    Raises ``NotRealDecomposable`` with the witness labels (``1122 vs
+    1221``) when the test fails.
+    """
+    ok, witness = is_real_decomposable(h, tols)
+    if not ok:
+        raise NotRealDecomposable(_witness_text(witness))
+    arr = _real_array(h, tols.symTol)
+    m = h.order
+    for s in range(m):
+        arr = (arr + arr.swapaxes(s, m + s)) / 2.0
+    return arr
 
 
 def dim_RD(dims) -> int:
@@ -112,39 +135,21 @@ def _decompose_recursive(arr: np.ndarray, dims: tuple[int, ...]):
     return terms
 
 
-def real_decompose(h: core.HermitianTensor, rd_tol: float = RD_TOL) -> HermitianDecomposition:
+def real_decompose(h: core.HermitianTensor, tols: core.Tolerances = core.TOL) -> HermitianDecomposition:
     """Constructive all-real decomposition of a real-decomposable tensor.
 
     The recursion yields at most prod n_k(n_k+1) terms; no attempt at
     minimal length is made (compare against the flattening lower bound
-    to see the gap).
+    to see the gap).  It decomposes ``real_decomposable_array(h)``; the
+    residual against ``h`` must stay within ``rdTol * norm(h)``.
     """
-    ok, witness = is_real_decomposable(h)
-    if not ok:
-        raise NotRealDecomposable(f"entry symmetry fails at {witness[0]}{witness[1]} vs {witness[2]}{witness[3]}")
-    arr = _real_array(h, core.SYM_TOL)
+    arr = real_decomposable_array(h, tols)
     terms = tuple((lam, tuple(vs)) for lam, vs in _decompose_recursive(arr, h.dims))
     d = HermitianDecomposition(h.dims, terms)
     res = residual(d, h)
-    if res > rd_tol * max(core.norm(h), 1e-300):
+    if res > tols.rdTol * max(core.norm(h), 1e-300):
         raise ConstructionFailed(f"real decomposition residual {res:.3e} above tolerance")
     return d
-
-
-@dataclass(frozen=True)
-class RealBlockView:
-    """Blocks of the 4x4 flattening of a shape-[2,2] tensor: [[A, C], [C, B]]."""
-
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-
-
-def block_view_22(h: core.HermitianTensor, tol: float = core.SYM_TOL) -> RealBlockView:
-    if h.dims != (2, 2):
-        raise NotShape22(f"expected shape (2, 2), got {h.dims}")
-    m = _real_array(h, tol).reshape(4, 4)
-    return RealBlockView(m[:2, :2].copy(), m[2:, 2:].copy(), m[:2, 2:].copy())
 
 
 @dataclass(frozen=True)
@@ -170,28 +175,30 @@ def _sym_eig2(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return sd.eigenvalues, sd.eigenvectors.real
 
 
-def normal_form_22(h: core.HermitianTensor, nf_tol: float = NF_TOL) -> NormalForm22:
+def normal_form_22(h: core.HermitianTensor, tols: core.Tolerances = core.TOL) -> NormalForm22:
     """Normal form under mode congruences, following the constructive cases.
 
     Case A = B = 0 rotates C to diagonal (s = 0).  Otherwise a definite
     end block is preferred (shift v = 0); an indefinite one is shifted by
     v v^T along its most negative eigendirection, whitened to the
     identity, and the middle block rotated to diagonal.  A negative
-    semidefinite target is handled on the negated tensor (s = -1).
+    semidefinite target is handled on the negated tensor (s = -1).  The
+    blocks come from ``real_decomposable_array(h)``; the normal form must
+    reproduce ``h`` within ``nfTol``.
     """
-    ok, witness = is_real_decomposable(h)
-    if not ok:
-        raise NotRealDecomposable(f"entry symmetry fails at {witness}")
-    bv = block_view_22(h)
+    if h.dims != (2, 2):
+        raise NotShape22(f"expected shape (2, 2), got {h.dims}")
+    m = real_decomposable_array(h, tols).reshape(4, 4)
+    A, B, C = m[:2, :2], m[2:, 2:], m[:2, 2:]  # the flattening is [[A, C], [C, B]]
     scale = max(1.0, float(np.abs(h.mat).max()))
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
     eye = np.eye(2)
 
-    if np.abs(bv.A).max() <= 1e-12 * scale and np.abs(bv.B).max() <= 1e-12 * scale:
-        w, v = _sym_eig2(bv.C)
+    if np.abs(A).max() <= 1e-12 * scale and np.abs(B).max() <= 1e-12 * scale:
+        w, v = _sym_eig2(C)
         q = v.T
         nf = NormalForm22(eye, q, 0, np.diag(w), np.zeros(2), np.zeros((2, 2)))
-        _check_normal_form(h, nf, nf_tol)
+        _check_normal_form(h, nf, tols)
         return nf
 
     # choose the end block to normalize: prefer a definite one, otherwise
@@ -208,16 +215,16 @@ def normal_form_22(h: core.HermitianTensor, nf_tol: float = NF_TOL) -> NormalFor
         w, _ = _sym_eig2(x)
         return max(w[1], -w[0])
 
-    if definiteness(bv.A) != 0:
+    if definiteness(A) != 0:
         use_b = False
-    elif definiteness(bv.B) != 0:
+    elif definiteness(B) != 0:
         use_b = True
     else:
-        use_b = score(bv.B) > score(bv.A)
+        use_b = score(B) > score(A)
     p_mat = swap if use_b else eye
-    a_blk = bv.B if use_b else bv.A
-    b_blk = bv.A if use_b else bv.B
-    c_blk = bv.C
+    a_blk = B if use_b else A
+    b_blk = A if use_b else B
+    c_blk = C
 
     wa, va = _sym_eig2(a_blk)
     if wa[1] < -1e-10 * scale or (wa[1] <= 1e-10 * scale and wa[0] < 0):
@@ -249,7 +256,7 @@ def normal_form_22(h: core.HermitianTensor, nf_tol: float = NF_TOL) -> NormalFor
     # for s = -1 the construction ran on the negated tensor, so the middle
     # block of the original flattening is the negated rotation result
     nf = NormalForm22(p_mat, q, s, np.diag(s * wd), u_vec, btilde)
-    _check_normal_form(h, nf, nf_tol)
+    _check_normal_form(h, nf, tols)
     return nf
 
 
@@ -259,22 +266,21 @@ def _normal_form_matrix(nf: NormalForm22) -> np.ndarray:
     return np.vstack([top, bot])
 
 
-def _check_normal_form(h: core.HermitianTensor, nf: NormalForm22, nf_tol: float):
-    got = core.congruent([nf.P.astype(complex), nf.Q.astype(complex)], h).mat.real
+def _check_normal_form(h: core.HermitianTensor, nf: NormalForm22, tols: core.Tolerances):
+    got = core.congruent([nf.P.astype(complex), nf.Q.astype(complex)], h, tols).mat.real
     want = _normal_form_matrix(nf)
     dev = float(np.abs(got - want).max())
-    if dev > nf_tol * max(1.0, float(np.abs(want).max())):
+    if dev > tols.nfTol * max(1.0, float(np.abs(want).max())):
         raise ConstructionFailed(f"normal form reconstruction off by {dev:.3e}")
 
 
-def real_decompose_22(h: core.HermitianTensor, rd_tol: float = RD_TOL,
-                      nf_tol: float = NF_TOL) -> HermitianDecomposition:
+def real_decompose_22(h: core.HermitianTensor, tols: core.Tolerances = core.TOL) -> HermitianDecomposition:
     """Length <= 5 real decomposition of a real-decomposable [2,2] tensor.
 
     Uses the normal form: four explicit terms when s = 0, five (four if
     u = 0) otherwise, pulled back through the inverse congruence.
     """
-    nf = normal_form_22(h, nf_tol)
+    nf = normal_form_22(h, tols)
     d1, d2 = float(nf.D[0, 0]), float(nf.D[1, 1])
     e1, e2 = _unit(2, 0), _unit(2, 1)
     terms = []
@@ -304,6 +310,6 @@ def real_decompose_22(h: core.HermitianTensor, rd_tol: float = RD_TOL,
     )
     d = HermitianDecomposition(h.dims, pulled)
     res = residual(d, h)
-    if res > rd_tol * max(core.norm(h), 1e-300):
+    if res > tols.rdTol * max(core.norm(h), 1e-300):
         raise ConstructionFailed(f"[2,2] decomposition residual {res:.3e} above tolerance")
     return d

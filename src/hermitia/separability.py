@@ -26,11 +26,9 @@ import numpy as np
 
 from . import core, flatten, linalg, psd_sos, real_herm, spectral
 from .decomposition import HermitianDecomposition, _rank1_sum, residual
-from .errors import BlockNotPsd, RealityViolation, ShapeMismatch
+from .errors import BlockNotPsd, NotRealDecomposable, RealityViolation, ShapeMismatch
 
-SEP_TOL = 1e-7
 SEARCH_STARTS = 8
-WIT_TOL = psd_sos.WIT_TOL
 
 
 @dataclass(frozen=True)
@@ -86,54 +84,55 @@ def verify_positive_decomposition(
     d: HermitianDecomposition,
     a: core.HermitianTensor,
     field_name: str = "COMPLEX",
-    sep_tol: float = SEP_TOL,
+    tols: core.Tolerances = core.TOL,
 ) -> bool:
     """True iff d has positive coefficients and reassembles a within
-    sep_tol * norm(a) (real vectors required for the REAL field)."""
+    sepTol * norm(a) (real vectors required for the REAL field)."""
     if d.dims != a.dims:
         raise ShapeMismatch(f"shapes differ: {d.dims} vs {a.dims}")
     if any(lam <= 0.0 for lam, _ in d.terms):
         return False
     if field_name == "REAL" and not all(_vectors_real(vs) for _, vs in d.terms):
         return False
-    return residual(d, a) <= sep_tol * max(core.norm(a), 1e-300)
+    return residual(d, a) <= tols.sepTol * max(core.norm(a), 1e-300)
 
 
 def psd_kron_verify(
     pk: PsdKronDecomp,
     a: core.HermitianTensor,
-    sep_tol: float = SEP_TOL,
-    eig_tol: float = linalg.EIG_TOL,
+    tols: core.Tolerances = core.TOL,
 ) -> bool:
-    """Blocks psd and the Kronecker-product sum equal to the flattening."""
+    """Blocks Hermitian (``symTol``) and psd (``eigTol``), and the
+    Kronecker-product sum equal to the flattening (``sepTol``)."""
     if pk.dims != a.dims:
         raise ShapeMismatch(f"shapes differ: {pk.dims} vs {a.dims}")
     for blocks in pk.terms:
         for b in blocks:
-            if float(np.abs(b - b.conj().T).max()) > core.SYM_TOL:
+            if float(np.abs(b - b.conj().T).max()) > tols.symTol:
                 return False
             wmin = linalg.herm_eig(b).eigenvalues[0]
-            if wmin < -eig_tol * max(1.0, float(np.linalg.norm(b))):
+            if wmin < -tols.eigTol * max(1.0, float(np.linalg.norm(b))):
                 return False
     target = flatten.hermitian_flatten(a).mat
     dev = float(np.linalg.norm(pk.flattening_sum() - target))
-    return dev <= sep_tol * max(float(np.linalg.norm(target)), 1e-300)
+    return dev <= tols.sepTol * max(float(np.linalg.norm(target)), 1e-300)
 
 
-def psd_kron_to_decomposition(pk: PsdKronDecomp, eig_tol: float = linalg.EIG_TOL) -> HermitianDecomposition:
-    """Spectral split of every block into a positive decomposition."""
+def psd_kron_to_decomposition(pk: PsdKronDecomp, tols: core.Tolerances = core.TOL) -> HermitianDecomposition:
+    """Spectral split of every block into a positive decomposition
+    (eigenvalues within ``eigTol`` of zero are dropped)."""
     terms = []
     for blocks in pk.terms:
         per_mode = []
         for b in blocks:
             sd = linalg.herm_eig(b)
             scale = max(1.0, float(np.abs(sd.eigenvalues).max()))
-            if sd.eigenvalues[0] < -eig_tol * scale:
+            if sd.eigenvalues[0] < -tols.eigTol * scale:
                 raise BlockNotPsd(f"block has eigenvalue {sd.eigenvalues[0]:.3e}")
             pairs = [
                 (float(w), linalg.phase_normalize(sd.eigenvectors[:, i]))
                 for i, w in enumerate(sd.eigenvalues)
-                if w > eig_tol * scale
+                if w > tols.eigTol * scale
             ]
             per_mode.append(pairs)
         for combo in itertools.product(*per_mode):
@@ -156,15 +155,15 @@ class DualWitnessResult:
 def dual_witness_check(
     a: core.HermitianTensor,
     b: core.HermitianTensor,
-    wit_tol: float = WIT_TOL,
+    tols: core.Tolerances = core.TOL,
 ) -> DualWitnessResult:
     """Duality refutation: b psd (flattening certificate) and <a, b> < 0
-    prove a is not separable over either field."""
+    (below ``-witTol``) prove a is not separable over either field."""
     if a.dims != b.dims:
         raise ShapeMismatch(f"shapes differ: {a.dims} vs {b.dims}")
-    val = core.inner(a, b)
-    hs = psd_sos.hsos_test(b)
-    if hs.is_hsos and val < -wit_tol:
+    val = core.inner(a, b, tols)
+    hs = psd_sos.hsos_test(b, tols)
+    if hs.is_hsos and val < -tols.witTol:
         return DualWitnessResult("ENTANGLED_WITNESS", val, hs.certificate)
     return DualWitnessResult("INCONCLUSIVE", val)
 
@@ -175,24 +174,24 @@ def separable_search(
     seed: int,
     iters: int = 200,
     starts: int = SEARCH_STARTS,
-    sep_tol: float = SEP_TOL,
+    tols: core.Tolerances = core.TOL,
 ) -> SepVerdict:
     """Alternating fit of r positive rank-1 terms.
 
     Per sweep, each term's mode vectors are set to the top eigenvector of
     the residual contraction and the coefficients are refit by least
     squares, clamped positive.  All starts advance in lock-step; the
-    result is the first start (in start order) to fit within tolerance,
+    result is the first start (in start order) to fit within ``sepTol``,
     else the one with the smallest residual.  Certifies separability on
     success and returns UNKNOWN otherwise (refutation needs a dual
-    witness).
+    witness), at once when the flattening rank (at ``rankTol``) exceeds r.
     """
     if r < 1:
         raise ShapeMismatch("rank budget r must be >= 1")
-    return _budget_search(a, {r: seed}, iters, starts, sep_tol, lambda _, v: v)
+    return _budget_search(a, {r: seed}, iters, starts, tols, lambda _, v: v)
 
 
-def _budget_search(a, seeds, iters, starts, sep_tol, finish):
+def _budget_search(a, seeds, iters, starts, tols, finish):
     """``separable_search`` at every rank budget r in ``seeds`` (r -> seed),
     all budgets and starts in lock-step.
 
@@ -205,7 +204,7 @@ def _budget_search(a, seeds, iters, starts, sep_tol, finish):
     give.
     """
     anorm = core.norm(a)
-    mrank = linalg.matrix_rank(a.mat)
+    mrank = linalg.matrix_rank(a.mat, tols.rankTol)
     results, budgets = {}, []
     for r in sorted(seeds):
         if anorm <= 1e-14:
@@ -238,7 +237,7 @@ def _budget_search(a, seeds, iters, starts, sep_tol, finish):
     act = np.arange(len(rb))  # rows still running
     first_ok = np.full(len(budgets), starts)  # per budget, lowest start that fit
     limit = len(budgets)  # budgets from this index on are stopped
-    thresh = 0.2 * sep_tol * anorm
+    thresh = 0.2 * tols.sepTol * anorm
 
     def settle(running):
         """Finish the budgets below ``limit`` that have no running row."""
@@ -250,7 +249,7 @@ def _budget_search(a, seeds, iters, starts, sep_tol, finish):
             rows = slice(b * starts, (b + 1) * starts)
             pick = b * starts + (first_ok[b] if first_ok[b] < starts else int(np.argmin(res[rows])))
             results[r] = finish(r, _fitted_verdict(a, lams[pick, :r], [x[pick, :r] for x in xs],
-                                                   res[pick], sep_tol))
+                                                   res[pick], tols))
             if results[r] is not None:
                 limit = b + 1
                 act = act[act < limit * starts]
@@ -292,7 +291,7 @@ def _budget_search(a, seeds, iters, starts, sep_tol, finish):
     return next((results[r] for r in sorted(results) if results[r] is not None), None)
 
 
-def _fitted_verdict(a, lams, xs, res, sep_tol) -> SepVerdict:
+def _fitted_verdict(a, lams, xs, res, tols) -> SepVerdict:
     if np.isfinite(res):
         # every step of the search is blind to the phases of the vectors,
         # so they are normalized once, on the result
@@ -300,7 +299,7 @@ def _fitted_verdict(a, lams, xs, res, sep_tol) -> SepVerdict:
         best = HermitianDecomposition(
             a.dims, tuple((float(lams[j]), tuple(v[j] for v in vecs)) for j in range(len(lams)))
         )
-        if verify_positive_decomposition(best, a, sep_tol=sep_tol):
+        if verify_positive_decomposition(best, a, tols=tols):
             return SepVerdict("SEPARABLE_CERTIFIED", decomposition=best)
     return SepVerdict("UNKNOWN", note=f"best alternating-fit residual {res:.3e}")
 
@@ -339,9 +338,7 @@ def separability_pipeline(
     effort: int = 4,
     seed: int = 0,
     iters: int = 200,
-    sep_tol: float = SEP_TOL,
-    wit_tol: float = WIT_TOL,
-    eig_tol: float = linalg.EIG_TOL,
+    tols: core.Tolerances = core.TOL,
 ) -> SepVerdict:
     """Necessary checks, then a positive-decomposition search.
 
@@ -355,11 +352,11 @@ def separability_pipeline(
     """
     if field_name not in ("COMPLEX", "REAL"):
         raise ShapeMismatch(f"unknown field {field_name!r}")
-    hs = psd_sos.hsos_test(a, eig_tol)
+    hs = psd_sos.hsos_test(a, tols)
     if not hs.is_hsos:
         q = hs.eigenvector
-        b = flatten.hermitian_unflatten(np.outer(q, q.conj()), a.dims)
-        check = dual_witness_check(a, b, wit_tol=wit_tol)
+        b = flatten.hermitian_unflatten(np.outer(q, q.conj()), a.dims, tols)
+        check = dual_witness_check(a, b, tols)
         if check.status == "ENTANGLED_WITNESS":
             return SepVerdict(
                 "ENTANGLED_WITNESS", field_name, witness=b,
@@ -371,13 +368,11 @@ def separability_pipeline(
                                "strictly negative at tolerance")
     if field_name == "REAL":
         try:
-            ok, witness = real_herm.is_real_decomposable(a)
-        except RealityViolation:
-            ok, witness = False, None
-        if not ok:
+            real_herm.real_decomposable_array(a, tols)
+        except (NotRealDecomposable, RealityViolation) as exc:
             return SepVerdict(
                 "UNKNOWN", field_name,
-                note=f"not real-Hermitian decomposable (witness {witness}); "
+                note=f"not real-Hermitian decomposable ({exc}); "
                      "hence not R-separable, but no dual certificate is produced",
             )
     def finish(r, found):
@@ -385,7 +380,7 @@ def separability_pipeline(
             return None
         if field_name == "REAL":
             realified = realify_decomposition(found.decomposition)
-            if verify_positive_decomposition(realified, a, "REAL", sep_tol=sep_tol):
+            if verify_positive_decomposition(realified, a, "REAL", tols):
                 return SepVerdict("SEPARABLE_CERTIFIED", "REAL", decomposition=realified,
                                   note=f"complex certificate at r={r} transferred by vector splitting")
             return None
@@ -393,6 +388,6 @@ def separability_pipeline(
                           note=f"alternating search succeeded at r={r}")
 
     seeds = {r: seed + r for r in range(1, max(1, effort) + 1)}
-    found = _budget_search(a, seeds, iters, SEARCH_STARTS, sep_tol, finish)
+    found = _budget_search(a, seeds, iters, SEARCH_STARTS, tols, finish)
     return found or SepVerdict("UNKNOWN", field_name,
                                note=f"search exhausted rank budgets 1..{effort}")

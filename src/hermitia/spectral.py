@@ -27,9 +27,6 @@ import numpy as np
 from . import core, flatten, linalg
 from .errors import ShapeMismatch
 
-EIG_TUPLE_TOL = 1e-8
-EIG_GAP_TOL = 1e-6
-R1_TOL = 1e-7
 DEDUP_VALUE_TOL = 1e-6
 DEFAULT_STARTS = 16
 MAX_BLOCK_SWEEPS = 500
@@ -163,7 +160,7 @@ def herm_eigenpair(
     seed: int,
     field: str = "COMPLEX",
     starts: int = DEFAULT_STARTS,
-    tol: float = EIG_TUPLE_TOL,
+    tols: core.Tolerances = core.TOL,
     max_sweeps: int = MAX_BLOCK_SWEEPS,
 ) -> EigenSearch:
     """Multistart search for Hermitian eigentuples.
@@ -171,8 +168,8 @@ def herm_eigenpair(
     Every start runs both an ascent and a descent block-coordinate
     sequence from a random unit tuple (real starts and real-subspace
     projection when field = "REAL"); all 2 * starts sequences advance in
-    lock-step.  Tuples whose stationarity residual exceeds ``tol`` are
-    dropped and counted as failures; survivors are deduplicated up to
+    lock-step.  Tuples whose stationarity residual exceeds ``eigTupleTol``
+    are dropped and counted as failures; survivors are deduplicated up to
     per-mode phases and sorted by eigenvalue.
     """
     if field not in ("COMPLEX", "REAL"):
@@ -186,12 +183,12 @@ def herm_eigenpair(
             v = rng.standard_normal(n) + (0.0 if field == "REAL" else 1j * rng.standard_normal(n))
             x0[s] += [v / np.linalg.norm(v)] * 2  # descent, then ascent
     largest = np.tile([False, True], starts)
-    results = _lockstep(h, x0, largest, field, tol, max_sweeps)
+    results = _lockstep(h, x0, largest, field, tols.eigTupleTol, max_sweeps)
 
     kept: list[EigenTuple] = []
     failed = 0
     for tup in results:
-        if max(tup.residuals) > tol:
+        if max(tup.residuals) > tols.eigTupleTol:
             failed += 1
             continue
         if any(_same_tuple(tup, other) for other in kept):
@@ -224,26 +221,22 @@ class OrthoDecomp:
     terms: tuple[OrthoTerm, ...]
 
 
-def orthogonal_decompose(
-    h: core.HermitianTensor,
-    rank_tol: float = linalg.RANK_REL_TOL,
-    r1_tol: float = R1_TOL,
-) -> OrthoDecomp:
+def orthogonal_decompose(h: core.HermitianTensor, tols: core.Tolerances = core.TOL) -> OrthoDecomp:
     """Spectral decomposition of the flattening, reshaped to unit tensors.
 
     H = sum_i lambda_i U_i (x) conj(U_i) with pairwise orthogonal, unit
-    U_i; eigenvalues below rank_tol (relative) are dropped.  Each term
-    carries its best rank-1 relative residual.
+    U_i; eigenvalues below ``rankTol`` (relative) are dropped.  Each term
+    carries its best rank-1 relative residual, rank-1 within ``r1Tol``.
     """
     sd = linalg.herm_eig(flatten.hermitian_flatten(h).mat)
     top = float(np.abs(sd.eigenvalues).max()) if sd.eigenvalues.size else 0.0
     terms = []
     for i, w in enumerate(sd.eigenvalues):
-        if top == 0.0 or abs(w) <= rank_tol * top:
+        if top == 0.0 or abs(w) <= tols.rankTol * top:
             continue
         u = sd.eigenvectors[:, i].reshape(h.dims)
         _, res = linalg.rank1_factor(u)
-        terms.append(OrthoTerm(float(w), u.copy(), res, res <= r1_tol))
+        terms.append(OrthoTerm(float(w), u.copy(), res, res <= tols.r1Tol))
     return OrthoDecomp(h.dims, tuple(terms))
 
 
@@ -255,29 +248,25 @@ class UnitaryReport:
     note: str = ""
 
 
-def unitary_decomposable(
-    h: core.HermitianTensor,
-    gap_tol: float = EIG_GAP_TOL,
-    r1_tol: float = R1_TOL,
-) -> UnitaryReport:
+def unitary_decomposable(h: core.HermitianTensor, tols: core.Tolerances = core.TOL) -> UnitaryReport:
     """Decide unitary Hermitian decomposability when the spectrum allows.
 
     With pairwise distinct nonzero eigenvalues of the flattening, the
     spectral decomposition is the only candidate: YES iff every reshaped
     eigenvector is rank-1 (the decomposition is returned), NO with the
-    first offending term otherwise.  Repeated nonzero eigenvalues leave
-    the question open here: INCONCLUSIVE.
+    first offending term otherwise.  Repeated nonzero eigenvalues (within
+    ``eigGapTol``, relative) leave the question open here: INCONCLUSIVE.
     """
     from .decomposition import HermitianDecomposition
 
-    od = orthogonal_decompose(h, r1_tol=r1_tol)
+    od = orthogonal_decompose(h, tols)
     if not od.terms:
         return UnitaryReport("YES", HermitianDecomposition(h.dims, ()))
     vals = [t.value for t in od.terms]
     top = max(abs(v) for v in vals)
     for i in range(len(vals)):
         for j in range(i + 1, len(vals)):
-            if abs(vals[i] - vals[j]) <= gap_tol * top:
+            if abs(vals[i] - vals[j]) <= tols.eigGapTol * top:
                 return UnitaryReport(
                     "INCONCLUSIVE",
                     note="repeated nonzero eigenvalues: spectral decomposition not unique",

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -6,7 +7,13 @@ import pytest
 from hermitia import cli, core, decomposition as dec, flatten, io as hio
 from hermitia.cli import run
 
-from conftest import hankel_tensor, hankel_witness, separable_62_matrix
+from conftest import (
+    cr_psd_ii_tensor,
+    csos_not_hsos_tensor,
+    hankel_tensor,
+    hankel_witness,
+    separable_62_matrix,
+)
 
 
 @pytest.fixture
@@ -105,39 +112,18 @@ def test_kruskal_verb(tmp_path, capsys):
     assert "certified: True" in capsys.readouterr().out
 
 
-def test_kruskal_honours_rank_tol(tmp_path):
-    # mode vectors 1e-6 rad apart: independent at the default rankTol,
-    # parallel once rankTol exceeds their singular-value ratio
-    theta = 1e-6
-    u = np.array([1.0, 0.0], dtype=complex)
-    w = np.array([np.cos(theta), np.sin(theta)], dtype=complex)
-    d = dec.HermitianDecomposition((2, 2), ((1.0, (u, u)), (1.0, (w, w))))
-    path = tmp_path / "d.hdec"
-    hio.save_hdec(path, d)
-    assert run(["kruskal", str(path)]) == 0
-    assert run(["--tol", "rankTol=1e-5", "kruskal", str(path)]) == 2
-
-
-def test_omega_honours_eig_tol(tmp_path):
-    # the identity tensor minus a little more than its 1111 entry: the
-    # multiplier Gram matrix has a -1e-6 eigenvalue
-    e = core.basis_tensor((1, 1), (1, 1), 1.0, (2, 2))
-    h = core.validate((2, 2), core.identity_tensor((2, 2)).mat - (1.0 + 1e-6) * e.mat)
-    path = tmp_path / "h.hten"
-    hio.save_hten(path, h)
-    assert run(["omega", str(path), "--k", "1,1"]) == 2
-    assert run(["--tol", "eigTol=1e-4", "omega", str(path), "--k", "1,1"]) == 0
-
-
-@pytest.fixture
-def near_product_file(tmp_path):
+def near_product() -> core.HermitianTensor:
     # |00><00| minus 5e-10 along the entangled (|01> + |10>)/sqrt(2): the
     # flattening's least eigenvalue -5e-10 fails the default eigTol but is
     # far inside eigTol=1e-6, and every product value stays above -witTol
     psi = np.array([0.0, 1.0, 1.0, 0.0]) / np.sqrt(2)
-    h = core.validate((2, 2), np.diag([1.0, 0.0, 0.0, 0.0]) - 5e-10 * np.outer(psi, psi))
+    return core.validate((2, 2), np.diag([1.0, 0.0, 0.0, 0.0]) - 5e-10 * np.outer(psi, psi))
+
+
+@pytest.fixture
+def near_product_file(tmp_path):
     path = tmp_path / "near.hten"
-    hio.save_hten(path, h)
+    hio.save_hten(path, near_product())
     return str(path)
 
 
@@ -150,11 +136,6 @@ def test_psd_honours_eig_tols(near_product_file, tmp_path):
     assert run(["psd", str(path)]) == 1
     # no eigentuple meets a 1e-300 residual, so no witness survives
     assert run(["--tol", "eigTupleTol=1e-300", "psd", str(path)]) == 2
-
-
-def test_sep_pipeline_honours_eig_tol(near_product_file):
-    assert run(["sep-pipeline", near_product_file]) == 2
-    assert run(["--tol", "eigTol=1e-6", "sep-pipeline", near_product_file]) == 0
 
 
 def test_oversized_hten_exit_65(tmp_path):
@@ -373,3 +354,187 @@ def test_unwritable_out_exits_64(argv, tmp_path, capsys):
     out = tmp_path / "missing" / "out"
     assert run([a.format(id=ident) for a in argv] + ["--out", str(out)]) == 64
     assert "cannot write" in capsys.readouterr().err
+
+
+def _near_real_cross(diag, cross) -> core.HermitianTensor:
+    """Flattening diagonal ``diag`` plus the 1122 entries ``cross`` and the
+    1221 entries ``cross + 1e-7``: real-decomposable from symTol = 1e-7 on."""
+    arr = np.diag(diag).astype(float).reshape(2, 2, 2, 2)
+    arr[0, 0, 1, 1] = arr[1, 1, 0, 0] = cross
+    arr[0, 1, 1, 0] = arr[1, 0, 0, 1] = cross + 1e-7
+    return core.validate((2, 2), arr)
+
+
+def near_real_decomposable() -> core.HermitianTensor:
+    return _near_real_cross([0, 0, 0, 0], 1.0)
+
+
+def _unit(i):
+    return np.eye(2, dtype=complex)[i]
+
+
+_U = np.array([1.0, 1.0j]) / np.sqrt(2)
+_V = np.array([1.0, 2.0]) / np.sqrt(5)
+
+
+def _rank1_plus(eps) -> core.HermitianTensor:
+    """[e1, e1] + eps [u, v]: flattening rank 2, but 1 at rankTol > eps."""
+    terms = ((1.0, (_unit(0), _unit(0))), (eps, (_U, _V)))
+    return dec.assemble(dec.HermitianDecomposition((2, 2), terms))
+
+
+def _diag(*values) -> core.HermitianTensor:
+    return core.validate((2, 2), np.diag(values))
+
+
+def _outer(z) -> core.HermitianTensor:
+    return core.validate((2, 2), np.outer(z, np.conj(z)))
+
+
+_W = np.array([0.0, 1.0, 1.0, 0.0]) / np.sqrt(2)  # (e12 + e21) / sqrt(2)
+_SV = dec.HermitianDecomposition((2, 2), ((1.0, (_unit(0), _unit(0))), (2.0, (_U, _V))))
+
+
+def _near_parallel_terms() -> dec.HermitianDecomposition:
+    # mode vectors 1e-6 rad apart: independent at the default rankTol,
+    # parallel once rankTol exceeds their singular-value ratio
+    theta = 1e-6
+    u = np.array([1.0, 0.0], dtype=complex)
+    w = np.array([np.cos(theta), np.sin(theta)], dtype=complex)
+    return dec.HermitianDecomposition((2, 2), ((1.0, (u, u)), (1.0, (w, w))))
+
+
+def _identity_minus_1111() -> core.HermitianTensor:
+    # the identity tensor minus a little more than its 1111 entry: the
+    # multiplier Gram matrix has a -1e-6 eigenvalue
+    e = core.basis_tensor((1, 1), (1, 1), 1.0, (2, 2))
+    return core.validate((2, 2), core.identity_tensor((2, 2)).mat - (1.0 + 1e-6) * e.mat)
+
+
+# name -> cases (override value, verb argv, files, --tol given in both runs,
+#                exit codes without and with the override)
+TOL_CASES = {
+    "symTol": [("1e-6", ["real-decompose", "{a}"], {"a": near_real_decomposable}, [], (1, 2))],
+    "eigTol": [("1e-9", ["sep-witness", "{a}", "--witness", "{b}"],
+                {"a": lambda: _diag(-1, 0, 0, 0), "b": lambda: _diag(1, 1, 1, -5e-10)}, [], (2, 1))],
+    "rankTol": [("1e-10", ["unitary-check", "{a}"],
+                 {"a": lambda: core.validate((2, 2), np.diag([1.0, 0, 0, 0]) + 1e-9 * np.outer(_W, _W))},
+                 [], (0, 1)),
+                ("1e-5", ["kruskal", "{d}"], {"d": _near_parallel_terms}, [], (0, 2))],
+    "cpTol": [("1e-4", ["jennrich", "{a}", "--rmax", "1"], {"a": lambda: _rank1_plus(1e-6)}, [], (2, 0))],
+    "rdTol": [("1e-6", ["real-decompose", "{a}"], {"a": near_real_decomposable}, ["symTol=1e-6"], (2, 0))],
+    "nfTol": [("1e-6", ["real-decompose-22", "{a}"], {"a": near_real_decomposable},
+               ["symTol=1e-6", "rdTol=1e-6"], (2, 0))],
+    "eigTupleTol": [("1e-300", ["psd", "{a}"], {"a": cr_psd_ii_tensor}, [], (1, 2))],
+    "eigGapTol": [("1e-4", ["unitary-check", "{a}"], {"a": lambda: _diag(1, 1 + 1e-5, 0, 0)}, [], (0, 2))],
+    "r1Tol": [("1e-5", ["unitary-check", "{a}"],
+               {"a": lambda: _outer([1, 0, 0, 1e-6] / np.hypot(1, 1e-6))}, [], (1, 0))],
+    "gramTol": [("1", ["csos", "{a}", "--iters", "5"], {"a": csos_not_hsos_tensor}, [], (2, 0))],
+    "witTol": [("1e-7", ["sep-witness", "{a}", "--witness", "{b}"],
+                {"a": lambda: _diag(-1e-8, 0, 0, 0), "b": lambda: core.identity_tensor((2, 2))}, [], (1, 2))],
+    "sepTol": [("1e-5", ["sep-verify", "{a}", "--decomposition", "{d}"],
+                {"a": lambda: core.validate((2, 2), dec.assemble(_SV).mat + 1e-6 * np.eye(4)),
+                 "d": lambda: _SV}, [], (1, 0))],
+}
+
+
+def _write(tmp_path, files) -> dict:
+    paths = {}
+    for key, make in files.items():
+        obj = make()
+        paths[key] = tmp_path / key
+        (hio.save_hdec if isinstance(obj, dec.HermitianDecomposition) else hio.save_hten)(paths[key], obj)
+    return paths
+
+
+def test_tolerance_cases_cover_every_field():
+    assert sorted(TOL_CASES) == sorted(f.name for f in dataclasses.fields(core.Tolerances))
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(core.Tolerances)])
+def test_tolerance_override_changes_the_outcome(name, tmp_path):
+    for value, argv, files, given, exits in TOL_CASES[name]:
+        paths = _write(tmp_path, files)
+        argv = [a.format(**paths) for a in argv]
+        base = [x for item in given for x in ("--tol", item)]
+        assert (run(base + argv), run(base + ["--tol", f"{name}={value}"] + argv)) == exits, argv
+
+
+def test_omega_honours_eig_tol(tmp_path):
+    path = str(_write(tmp_path, {"a": _identity_minus_1111})["a"])
+    assert run(["omega", path, "--k", "1,1"]) == 2
+    assert run(["--tol", "eigTol=1e-4", "omega", path, "--k", "1,1"]) == 0
+
+
+def test_sep_pipeline_honours_eig_tol(near_product_file):
+    assert run(["sep-pipeline", near_product_file]) == 2
+    assert run(["--tol", "eigTol=1e-6", "sep-pipeline", near_product_file]) == 0
+
+
+def _json_run(argv, capsys):
+    code = run(["--json", *argv])
+    return code, json.loads(capsys.readouterr().out)
+
+
+def test_real_verbs_agree_at_sym_tol(tmp_path, capsys):
+    path = str(_write(tmp_path, {"a": near_real_decomposable})["a"])
+    sym = ["--tol", "symTol=1e-6"]
+    assert _json_run(sym + ["real-check", path], capsys) == (0, {"real_decomposable": True})
+    for verb in ("real-decompose", "real-decompose-22"):
+        assert _json_run(sym + [verb, path], capsys)[1]["status"] == "UNKNOWN"
+        code, report = _json_run(sym + ["--tol", "rdTol=1e-6", "--tol", "nfTol=1e-6", verb, path], capsys)
+        # the construction decomposes the averaged entries, 1 + 5e-8 at all four
+        assert code == 0 and report["residual"] == pytest.approx(1e-7, rel=1e-3)
+
+
+def test_real_decompose_22_needs_shape_22(tmp_path, capsys):
+    path = _write(tmp_path, {"a": lambda: core.identity_tensor((3, 3))})["a"]
+    assert run(["real-check", str(path)]) == 0
+    assert run(["real-decompose-22", str(path)]) == 64
+    assert "expected shape (2, 2)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", ["real-decompose", "real-decompose-22"])
+def test_real_decompose_prints_the_real_check_witness(verb, e1122_file, capsys):
+    assert run([verb, e1122_file]) == 1
+    assert "1122 vs 1221" in capsys.readouterr().out
+
+
+def test_jennrich_rank_honours_rank_tol(tmp_path, capsys):
+    path = str(_write(tmp_path, {"a": lambda: _rank1_plus(1e-9)})["a"])
+    terms = [_json_run([*tol, "jennrich", path, "--rmax", "2"], capsys)[1]["terms"]
+             for tol in ([], ["--tol", "rankTol=1e-10"])]
+    assert terms == [1, 2]
+
+
+def test_sep_search_rank_gate_honours_rank_tol(tmp_path, capsys):
+    path = str(_write(tmp_path, {"a": lambda: _rank1_plus(1e-9)})["a"])
+    assert run(["sep-search", path, "--r", "1"]) == 0
+    assert run(["--tol", "rankTol=1e-10", "sep-search", path, "--r", "1"]) == 2
+    assert "flattening rank 2 exceeds the budget" in capsys.readouterr().out
+
+
+def test_psd_real_branch_honours_sym_tol(tmp_path, capsys):
+    # not HSOS (the 12/21 block is indefinite) and no negative value
+    path = str(_write(tmp_path, {"a": lambda: _near_real_cross([1, 0, 0, 1], 0.4)})["a"])
+    argv = ["psd", path, "--field", "REAL", "--effort", "0"]
+    notes = [_json_run([*tol, *argv], capsys)[1]["note"] for tol in ([], ["--tol", "symTol=1e-6"])]
+    assert notes == ["not real-decomposable: complex certificates do not transfer",
+                     "real-decomposable: complex certificates transfer"]
+
+
+def test_sep_pipeline_real_branch_honours_sym_tol(tmp_path, capsys):
+    path = str(_write(tmp_path, {"a": lambda: _near_real_cross([1, 1, 1, 1], 0.5)})["a"])
+    argv = ["sep-pipeline", path, "--field", "REAL"]
+    code, report = _json_run(argv, capsys)
+    assert code == 2 and "not real-Hermitian decomposable" in report["note"]
+    code, report = _json_run(["--tol", "symTol=1e-6", *argv], capsys)
+    assert code == 0 and report["status"] == "SEPARABLE_CERTIFIED"
+
+
+def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):
+    path = str(_write(tmp_path, {"a": near_real_decomposable})["a"])
+    assert cli._parser() is cli._parser()
+    assert _json_run(["--tol", "symTol=1e-6", "real-check", path], capsys) == (0, {"real_decomposable": True})
+    assert run(["real-check", path]) == 1
+    assert capsys.readouterr().out.startswith("real_decomposable: False")

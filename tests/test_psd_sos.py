@@ -130,7 +130,7 @@ class TestPsdVerdict:
         assert res.status == "NOT_PSD_WITNESS"
         assert res.witness_value <= -0.75 + 1e-6
         # soundness: the witness value re-evaluates strictly negative
-        assert core.eval_poly(cr_psd_ii_tensor(), res.witness) < -ps.WIT_TOL / 2
+        assert core.eval_poly(cr_psd_ii_tensor(), res.witness) < -core.TOL.witTol / 2
 
     def test_cr_psd_ii_real_never_refuted(self):
         res = ps.psd_verdict(cr_psd_ii_tensor(), field="REAL", effort=2)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hermitia import core, decomposition as dec, flatten, separability as sep
-from hermitia.errors import BlockNotPsd, ShapeMismatch
+from hermitia.errors import BlockNotPsd, NonRealInner, ShapeMismatch
 
 from conftest import hankel_tensor, hankel_witness, random_unit, separable_62_matrix
 
@@ -36,7 +36,7 @@ class TestVerifyPositive:
 
     def test_62_reconstruction_real(self):
         d = sep.psd_kron_to_decomposition(pk_62())
-        assert sep.verify_positive_decomposition(d, tensor_62(), "REAL", sep_tol=1e-9)
+        assert sep.verify_positive_decomposition(d, tensor_62(), "REAL", tols=core.Tolerances(sepTol=1e-9))
 
     def test_real_field_rejects_complex_vectors(self, rng):
         terms = ((1.0, (random_unit(rng, 2), random_unit(rng, 2))),)
@@ -72,6 +72,13 @@ class TestPsdKron:
         with pytest.raises(ShapeMismatch):
             sep.PsdKronDecomp((2, 2), ((np.eye(3), np.eye(2)),))
 
+    def test_block_symmetry_honours_sym_tol(self):
+        # one block 5e-9 off Hermitian: rejected at symTol 1e-9, kept at 1e-8
+        (b11, b12), second = pk_62().terms
+        pk = sep.PsdKronDecomp((2, 2), ((b11 + np.array([[0, 5e-9], [0, 0]]), b12), second))
+        assert not sep.psd_kron_verify(pk, tensor_62())
+        assert sep.psd_kron_verify(pk, tensor_62(), core.Tolerances(symTol=1e-8))
+
 
 class TestDualWitness:
     def test_hankel_witness(self):
@@ -84,6 +91,14 @@ class TestDualWitness:
         res = sep.dual_witness_check(tensor_62(), core.identity_tensor((2, 2)))
         assert res.status == "INCONCLUSIVE"
         assert res.value >= 0
+
+    def test_inner_product_honours_sym_tol(self):
+        # a directly built, slightly non-Hermitian tensor: <a, identity> = -4 + 1e-6i
+        a = core.HermitianTensor((2, 2), -np.eye(4) + np.diag([1e-6j, 0, 0, 0]))
+        with pytest.raises(NonRealInner):
+            sep.dual_witness_check(a, core.identity_tensor((2, 2)))
+        res = sep.dual_witness_check(a, core.identity_tensor((2, 2)), core.Tolerances(symTol=1e-5))
+        assert res.status == "ENTANGLED_WITNESS"
 
     def test_non_psd_witness_inconclusive(self):
         b = core.basis_tensor((1, 1), (2, 2), 1.0, (2, 2))  # indefinite flattening
@@ -177,7 +192,7 @@ class TestBudgetLockstep:
         a = self.rank2_23(rng)
         seeds = {1: 6, 2: 7, 3: 8, 4: 9}
         seen = {}
-        assert sep._budget_search(a, seeds, 200, 8, sep.SEP_TOL,
+        assert sep._budget_search(a, seeds, 200, 8, core.TOL,
                                   lambda r, v: seen.setdefault(r, v) and None) is None
         assert sorted(seen) == [1, 2, 3, 4]
         assert "flattening rank" in seen[1].note
@@ -188,7 +203,7 @@ class TestBudgetLockstep:
 
     def test_rejected_budget_lets_the_next_one_win(self, rng):
         a = self.rank2_23(rng)
-        got = sep._budget_search(a, {2: 7, 3: 8, 4: 9}, 200, 8, sep.SEP_TOL,
+        got = sep._budget_search(a, {2: 7, 3: 8, 4: 9}, 200, 8, core.TOL,
                                  lambda r, v: v if r > 2 else None)
         assert_same_verdict(got, sep.separable_search(a, 3, seed=8))
 
