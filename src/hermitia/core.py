@@ -63,13 +63,6 @@ def size_of(dims) -> int:
     return out
 
 
-def n1_n2_n3(dims) -> tuple[int, int, int]:
-    """Cubic-flattening dimensions: N1 = n1...nm, N3 = min nk, N2 = N1/N3."""
-    n1 = size_of(dims)
-    n3 = min(dims)
-    return n1, n1 // n3, n3
-
-
 def multi_indices(dims):
     """All 1-based multi-indices of a shape, lexicographically ordered."""
     return list(itertools.product(*(range(1, n + 1) for n in dims)))
@@ -213,12 +206,13 @@ def rank1(lam: float, vectors, dims=None) -> HermitianTensor:
 
 def inner(a: HermitianTensor, b: HermitianTensor, tols: Tolerances = TOL) -> float:
     """Real inner product sum_{I,J} a[I,J] * conj(b[I,J]); an imaginary
-    residue above ``symTol`` raises ``NonRealInner``."""
+    residue above ``symTol`` * max(1, ||a|| ||b||) raises ``NonRealInner``."""
     if a.dims != b.dims:
         raise ShapeMismatch(f"shapes differ: {a.dims} vs {b.dims}")
     val = complex(np.vdot(b.mat, a.mat))
-    if abs(val.imag) > tols.symTol:
-        raise NonRealInner(f"imaginary residue {val.imag:.3e} exceeds {tols.symTol:.1e}")
+    bound = tols.symTol * max(1.0, norm(a) * norm(b))
+    if abs(val.imag) > bound:
+        raise NonRealInner(f"imaginary residue {val.imag:.3e} exceeds {bound:.1e}")
     return float(val.real)
 
 

@@ -17,6 +17,10 @@ underlying basis:
   strictly positive tensor lands in some such set for large enough
   powers (no effective bound); membership certifies positivity.
 
+All three are Gram matrices over monomial bases, matched against the
+tensor by one coefficient map: Gram entry (p, q) stands for the monomial
+conj(b_p) b_q.
+
 The psd verdict pipeline combines eigentuple witnesses (for refutation)
 with these certificates, transferring complex certificates to the real
 field for real-decomposable tensors, where real and complex positivity
@@ -29,6 +33,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,8 +50,10 @@ class GramCertificate:
 
     Each basis monomial is an exponent tuple of length 2 * sum(dims):
     exponents of x_{1,1}, ..., x_{m,n_m} followed by those of their
-    conjugates.  ``residual`` is the largest coefficient mismatch of the
-    reconstructed polynomial.
+    conjugates.  Gram entry (p, q) stands for the monomial
+    conj(b_p) b_q.  ``residual`` is the largest coefficient mismatch
+    between the Gram form and |x_1|^{2 d_1} ... |x_m|^{2 d_m} H(x, conj x),
+    the multiplier degrees d_k read from the basis.
     """
 
     dims: tuple[int, ...]
@@ -89,28 +96,24 @@ class PsdVerdict:
     note: str = ""
 
 
-def _var_offsets(dims):
-    total = sum(dims)
-    offs = []
-    acc = 0
-    for n in dims:
-        offs.append(acc)
-        acc += n
-    return offs, total
+def _product_basis(dims, per_mode) -> tuple[tuple[int, ...], ...]:
+    """Exponent table of the products of one monomial per mode, ordered
+    like ``itertools.product`` over the modes.
+
+    ``per_mode[k]`` holds the monomials of mode k as rows of width 2 n_k:
+    exponents of x_{k,1}, ..., x_{k,n_k}, then of their conjugates.
+    """
+    tabs = [np.asarray(t, dtype=np.int64).reshape(len(t), 2, n) for t, n in zip(per_mode, dims)]
+    picks = np.indices([len(t) for t in tabs]).reshape(len(tabs), -1)
+    rows = np.concatenate([t[i] for t, i in zip(tabs, picks)], axis=2)
+    return tuple(map(tuple, rows.reshape(len(rows), -1).tolist()))
 
 
 def hol_basis(dims) -> tuple[tuple[int, ...], ...]:
     """Degree-(1, ..., 1) holomorphic monomials x_{1,i_1} ... x_{m,i_m},
     ordered like the multi-index enumeration."""
     dims = core.check_dims(dims)
-    offs, total = _var_offsets(dims)
-    out = []
-    for index in core.multi_indices(dims):
-        e = [0] * (2 * total)
-        for k, i in enumerate(index):
-            e[offs[k] + i - 1] = 1
-        out.append(tuple(e))
-    return tuple(out)
+    return _product_basis(dims, [np.eye(n, 2 * n) for n in dims])
 
 
 def hsos_test(h: core.HermitianTensor, tols: core.Tolerances = core.TOL) -> HsosResult:
@@ -130,92 +133,28 @@ def hsos_test(h: core.HermitianTensor, tols: core.Tolerances = core.TOL) -> Hsos
     return HsosResult(False, negative_eigenvalue=wmin, eigenvector=sd.eigenvectors[:, 0].copy())
 
 
-# ---------------------------------------------------------------------------
-# CSOS: Gram feasibility over the mixed basis
-
-
 def csos_basis(dims) -> tuple[tuple[int, ...], ...]:
     """Kronecker basis (x_1, conj x_1) (x) ... (x) (x_m, conj x_m)."""
     dims = core.check_dims(dims)
-    offs, total = _var_offsets(dims)
-    per_mode = []
-    for k, n in enumerate(dims):
-        mode = []
-        for i in range(n):
-            mode.append((0, offs[k] + i))  # x_{k,i}
-        for i in range(n):
-            mode.append((1, offs[k] + i))  # conj(x_{k,i})
-        per_mode.append(mode)
-    out = []
-    for combo in itertools.product(*per_mode):
-        e = [0] * (2 * total)
-        for typ, pos in combo:
-            e[pos + (total if typ else 0)] += 1
-        out.append(tuple(e))
-    return tuple(out)
+    return _product_basis(dims, [np.eye(2 * n) for n in dims])
 
 
-@lru_cache(maxsize=32)
-def _csos_structure(dims: tuple[int, ...]):
-    """Constraint structure of the CSOS Gram problem for a shape.
-
-    Returns (group ids per Gram entry, group sizes, per-group position
-    into the flattening for the target coefficient, -1 for monomials
-    absent from any Hermitian tensor polynomial).
-    """
-    dims = core.check_dims(dims)
-    n = core.size_of(dims)
-    per_mode = []
-    for nk in dims:
-        mode = [(0, i) for i in range(nk)] + [(1, i) for i in range(nk)]
-        per_mode.append(mode)
-    factors = list(itertools.product(*per_mode))  # factors[p][k] = (typ, idx)
-    K = len(factors)
-    key_to_gid: dict[tuple, int] = {}
-    gids = np.empty(K * K, dtype=np.int64)
-    targets_pos: list[int] = []
-    sizes: list[int] = []
-    for p in range(K):
-        fp = factors[p]
-        for q in range(K):
-            fq = factors[q]
-            key = []
-            for k in range(len(dims)):
-                tp, ip = fp[k]
-                a = (1 - tp, ip)  # conjugation flips the type
-                b = fq[k]
-                key.append((a, b) if a <= b else (b, a))
-            key = tuple(key)
-            gid = key_to_gid.get(key)
-            if gid is None:
-                gid = len(sizes)
-                key_to_gid[key] = gid
-                sizes.append(0)
-                # mixed monomial (one x, one conj(x)) per mode carries a
-                # tensor coefficient: x index -> j_k, conj index -> i_k
-                mixed = all(fa[0] != fb[0] for fa, fb in key)
-                if mixed:
-                    row = 0
-                    col = 0
-                    for k, (fa, fb) in enumerate(key):
-                        a_idx = fa[1] if fa[0] == 0 else fb[1]  # x index (j_k)
-                        b_idx = fa[1] if fa[0] == 1 else fb[1]  # conj index (i_k)
-                        row = row * dims[k] + b_idx
-                        col = col * dims[k] + a_idx
-                    targets_pos.append(row * n + col)
-                else:
-                    targets_pos.append(-1)
-            sizes[gid] += 1
-            gids[p * K + q] = gid
-    return gids, np.asarray(sizes, dtype=np.float64), np.asarray(targets_pos, dtype=np.int64)
+def _mode_monomials(n: int, degree: int) -> np.ndarray:
+    """Exponent rows of the monomials of the given total degree in n
+    variables, graded-lexicographically ordered (leading variable first)."""
+    exps = [e for e in itertools.product(range(degree, -1, -1), repeat=n) if sum(e) == degree]
+    return np.array(exps, dtype=np.int64).reshape(-1, n)
 
 
-def _csos_targets(h: core.HermitianTensor, targets_pos: np.ndarray) -> np.ndarray:
-    flat = h.mat.reshape(-1)
-    out = np.zeros(targets_pos.shape[0], dtype=np.complex128)
-    mask = targets_pos >= 0
-    out[mask] = flat[targets_pos[mask]]
-    return out
+# ---------------------------------------------------------------------------
+# The coefficient map shared by every Gram basis
+
+
+def _entry_monomials(b: np.ndarray) -> np.ndarray:
+    """Exponents of conj(b_p) b_q for every pair (p, q), row-major."""
+    t = b.shape[1] // 2
+    conj = np.concatenate([b[:, t:], b[:, :t]], axis=1)
+    return (conj[:, None, :] + b[None, :, :]).reshape(-1, 2 * t)
 
 
 def _group_sums(w: np.ndarray, gids: np.ndarray, ngroups: int) -> np.ndarray:
@@ -223,6 +162,65 @@ def _group_sums(w: np.ndarray, gids: np.ndarray, ngroups: int) -> np.ndarray:
     re = np.bincount(gids, weights=flat.real, minlength=ngroups)
     im = np.bincount(gids, weights=flat.imag, minlength=ngroups)
     return re + 1j * im
+
+
+class _CoefficientMap(NamedTuple):
+    """Group ids of the monomials of a Gram form and of its target.
+
+    ``gram_ids[p * K + q]`` is the group of conj(b_p) b_q.  The target is
+    |x_1|^{2 d_1} ... |x_m|^{2 d_m} H(x, conj x) with d_k the basis degree
+    in mode k minus one; its terms multinomial(alpha) H[I, J]
+    |x^alpha|^2 conj(x_I) x_J are ordered by the flat tensor entry, then by
+    alpha, with group ids ``term_ids`` and weights ``weights`` (per alpha).
+    """
+
+    gram_ids: np.ndarray
+    term_ids: np.ndarray
+    weights: np.ndarray
+    ngroups: int
+
+    def of_gram(self, w: np.ndarray) -> np.ndarray:
+        return _group_sums(w, self.gram_ids, self.ngroups)
+
+    def of_tensor(self, h: core.HermitianTensor) -> np.ndarray:
+        return _group_sums(np.outer(h.mat.reshape(-1), self.weights), self.term_ids, self.ngroups)
+
+
+@lru_cache(maxsize=32)
+def _coefficient_map(dims: tuple[int, ...], basis: tuple[tuple[int, ...], ...]) -> _CoefficientMap:
+    """One ``np.unique`` over the Gram-entry monomials and the target terms."""
+    b = np.asarray(basis, dtype=np.int64)
+    t = sum(dims)
+    offs = np.cumsum((0,) + dims[:-1])
+    deg = np.add.reduceat(b[0, :t] + b[0, t:], offs) - 1
+    alphas = [_mode_monomials(n, d) for n, d in zip(dims, deg)]
+    mults = np.asarray(_product_basis(dims, [np.hstack([a, a]) for a in alphas]))
+    fact = np.array([math.factorial(i) for i in range(int(deg.max()) + 1)], dtype=np.float64)
+    weights = fact[deg].prod() / fact[mults[:, :t]].prod(axis=1)
+    tensor = _entry_monomials(np.asarray(hol_basis(dims)))
+    terms = (tensor[:, None, :] + mults[None, :, :]).reshape(-1, 2 * t)
+    gram = _entry_monomials(b)
+    keys, inverse = np.unique(np.concatenate([gram, terms]), axis=0, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    inverse.setflags(write=False)  # cached and shared by every caller
+    weights.setflags(write=False)
+    return _CoefficientMap(inverse[: len(gram)], inverse[len(gram):], weights, len(keys))
+
+
+def gram_reconstruct_residual(h: core.HermitianTensor, cert: GramCertificate) -> float:
+    """Largest coefficient mismatch between the Gram form and the tensor.
+
+    Sums the Gram entries over each monomial conj(b_p) b_q and compares
+    with |x_1|^{2 d_1} ... |x_m|^{2 d_m} H(x, conj x), the multiplier
+    degrees d_k read from the basis (zero for the holomorphic and CSOS
+    bases); monomials outside the tensor's support must cancel.
+    """
+    cmap = _coefficient_map(h.dims, cert.basis)
+    return float(np.abs(cmap.of_gram(cert.W) - cmap.of_tensor(h)).max())
+
+
+# ---------------------------------------------------------------------------
+# CSOS: Gram feasibility over the mixed basis
 
 
 def csos_test(
@@ -238,23 +236,22 @@ def csos_test(
     an averaged-step fallback) yields INFEASIBLE_HINT, which is a
     heuristic only; the iteration cap yields UNKNOWN.
     """
-    gids, sizes, targets_pos = _csos_structure(h.dims)
-    ngroups = sizes.shape[0]
-    targets = _csos_targets(h, targets_pos)
-    K = int(round(math.sqrt(gids.shape[0])))
+    basis = csos_basis(h.dims)
+    cmap = _coefficient_map(h.dims, basis)
+    gids = cmap.gram_ids
+    sizes = np.bincount(gids, minlength=cmap.ngroups)
+    targets = cmap.of_tensor(h)
+    K = len(basis)
 
     def affine(w):
-        sums = _group_sums(w, gids, ngroups)
-        corr = (targets - sums) / sizes
+        corr = (targets - cmap.of_gram(w)) / sizes
         out = w + corr[gids].reshape(K, K)
         return (out + out.conj().T) / 2.0
 
     def coeff_residual(w):
-        sums = _group_sums(w, gids, ngroups)
-        return float(np.abs(sums - targets).max())
+        return float(np.abs(cmap.of_gram(w) - targets).max())
 
     w = affine(np.zeros((K, K), dtype=np.complex128))
-    basis = csos_basis(h.dims)
     dist_hist: list[float] = []
     averaged = False
     for it in range(1, iters + 1):
@@ -284,35 +281,9 @@ def csos_test(
 # Multiplier hierarchy
 
 
-def _mode_monomials(n: int, degree: int) -> list[tuple[int, ...]]:
-    """Exponent tuples of the given total degree in n variables,
-    graded-lexicographically ordered (leading variable first)."""
-    out = [
-        exps
-        for exps in itertools.product(range(degree + 1), repeat=n)
-        if sum(exps) == degree
-    ]
-    out.sort(reverse=True)
-    return out
-
-
-def _multinomial(exps) -> float:
-    out = math.factorial(sum(exps))
-    for e in exps:
-        out //= math.factorial(e)
-    return float(out)
-
-
-def multiplier_basis(dims, powers) -> list[tuple[tuple[int, ...], ...]]:
-    """Holomorphic basis of per-mode degrees (k_1 + 1, ..., k_m + 1)."""
-    per_mode = [_mode_monomials(n, k + 1) for n, k in zip(dims, powers)]
-    return [tuple(combo) for combo in itertools.product(*per_mode)]
-
-
 def multiplier_hsos_test(
     h: core.HermitianTensor,
     powers,
-    iters: int = CSOS_ITERS,
     basis_cap: int = BASIS_CAP,
     tols: core.Tolerances = core.TOL,
 ) -> OmegaResult:
@@ -320,132 +291,30 @@ def multiplier_hsos_test(
 
     Forms |x_1|^{2k_1} ... |x_m|^{2k_m} H(x, conj(x)) and checks whether
     its Gram matrix over the multidegree-(k+1) holomorphic basis is psd
-    (at ``eigTol``).  Over the full holomorphic basis the matching
-    constraints pin W down uniquely (one Gram entry per monomial pair), so
-    the feasibility search degenerates to a single psd check and ``iters``
-    is never consumed; the coefficient extraction is an exact convolution
-    of exponent tuples and the certificate residual is zero by construction.
+    (at ``eigTol``).  Over that basis every Gram entry stands for its own
+    monomial, so the coefficient map pins W down uniquely and the test is
+    a single psd check; the certificate residual is zero by construction.
     """
     dims = h.dims
     powers = tuple(int(k) for k in powers)
     if len(powers) != len(dims) or any(k < 0 for k in powers):
         raise ShapeMismatch(f"powers {powers} do not match shape {dims}")
     per_mode = [_mode_monomials(n, k + 1) for n, k in zip(dims, powers)]
-    bsize = 1
-    for mode in per_mode:
-        bsize *= len(mode)
+    bsize = math.prod(len(a) for a in per_mode)
     if bsize > basis_cap:
         raise BasisTooLarge(f"basis size {bsize} exceeds cap {basis_cap}")
-
-    # per-mode factor: F[i, j, p, q] = multinomial(alpha) when
-    # beta_q - e_j = beta_p - e_i = alpha >= 0 entrywise, else 0
-    fs = []
-    for k, n in enumerate(dims):
-        mons = per_mode[k]
-        b = len(mons)
-        f = np.zeros((n, n, b, b))
-        for p, bp in enumerate(mons):
-            for q, bq in enumerate(mons):
-                for i in range(n):
-                    if bp[i] == 0:
-                        continue
-                    alpha = list(bp)
-                    alpha[i] -= 1
-                    for j in range(n):
-                        if bq[j] == 0:
-                            continue
-                        beta = list(bq)
-                        beta[j] -= 1
-                        if alpha == beta:
-                            f[i, j, p, q] = _multinomial(alpha)
-        fs.append(f)
-
-    m = len(dims)
-    letters = "abcdefghijkl"[: 2 * m]
-    pq = "mnopqrstuvwx"[: 2 * m]
-    in1 = letters
-    operands = [h.as_array()]
-    subs = [in1]
-    for k in range(m):
-        subs.append(letters[k] + letters[m + k] + pq[k] + pq[m + k])
-        operands.append(fs[k])
-    out = pq[:m] + pq[m:]
-    w = np.einsum(",".join(subs) + "->" + out, *operands).reshape(bsize, bsize)
+    basis = _product_basis(dims, [np.hstack([a, 0 * a]) for a in per_mode])
+    cmap = _coefficient_map(dims, basis)
+    w = cmap.of_tensor(h)[cmap.gram_ids].reshape(bsize, bsize)
     w = (w + w.conj().T) / 2.0
-
-    offs, total = _var_offsets(dims)
-    basis = []
-    for combo in multiplier_basis(dims, powers):
-        e = [0] * (2 * total)
-        for k, exps in enumerate(combo):
-            for i, cnt in enumerate(exps):
-                e[offs[k] + i] = cnt
-        basis.append(tuple(e))
 
     sd = linalg.herm_eig(w)
     wmin = float(sd.eigenvalues[0])
     scale = max(1.0, float(np.linalg.norm(w)))
     if wmin >= -tols.eigTol * scale:
-        cert = GramCertificate(dims, tuple(basis), w, 0.0)
+        cert = GramCertificate(dims, basis, w, 0.0)
         return OmegaResult("MEMBER", powers, cert, wmin)
     return OmegaResult("UNKNOWN", powers, None, wmin)
-
-
-def gram_reconstruct_residual(h: core.HermitianTensor, cert: GramCertificate) -> float:
-    """Largest coefficient mismatch between the Gram form and the tensor.
-
-    Expands b(x)^* W b(x) into monomial coefficients and compares with
-    the conjugate polynomial of ``h`` (after clearing the certificate's
-    own multiplier, which must divide evenly); monomials outside the
-    tensor's support must cancel.
-    """
-    total = sum(h.dims)
-    acc: dict[tuple, complex] = {}
-    basis = cert.basis
-    for p, bp in enumerate(basis):
-        xp = np.array(bp[:total])
-        cp = np.array(bp[total:])
-        for q, bq in enumerate(basis):
-            if cert.W[p, q] == 0:
-                continue
-            xq = np.array(bq[:total])
-            cq = np.array(bq[total:])
-            hol = tuple(xq + cp)
-            anti = tuple(cq + xp)
-            key = (hol, anti)
-            acc[key] = acc.get(key, 0.0) + cert.W[p, q]
-
-    offs, _ = _var_offsets(h.dims)
-    target: dict[tuple, complex] = {}
-    indices = core.multi_indices(h.dims)
-    # the certificate may cover a multiplied polynomial: detect per-mode
-    # extra degree and convolve the tensor coefficients accordingly
-    deg = [0] * len(h.dims)
-    if basis:
-        b0 = np.array(basis[0][:total]) + np.array(basis[0][total:])
-        for k, n in enumerate(h.dims):
-            deg[k] = int(b0[offs[k]: offs[k] + n].sum()) - 1
-    mults = [_mode_monomials(n, d) for n, d in zip(h.dims, deg)]
-    for I in indices:
-        for J in indices:
-            coeff = h.entry(I, J)
-            if coeff == 0:
-                continue
-            for combo in itertools.product(*mults):
-                weight = 1.0
-                hol = [0] * total
-                anti = [0] * total
-                for k, alpha in enumerate(combo):
-                    weight *= _multinomial(alpha)
-                    for i, cnt in enumerate(alpha):
-                        hol[offs[k] + i] += cnt
-                        anti[offs[k] + i] += cnt
-                    hol[offs[k] + J[k] - 1] += 1
-                    anti[offs[k] + I[k] - 1] += 1
-                key = (tuple(hol), tuple(anti))
-                target[key] = target.get(key, 0.0) + weight * coeff
-    keys = set(acc) | set(target)
-    return max(abs(acc.get(k, 0.0) - target.get(k, 0.0)) for k in keys) if keys else 0.0
 
 
 def psd_verdict(

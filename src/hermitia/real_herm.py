@@ -46,19 +46,18 @@ def is_real_decomposable(h: core.HermitianTensor, tols: core.Tolerances = core.T
     per-mode pairs {i_s, j_s} = {k_s, l_s} yet carry different entries.
     """
     arr = _real_array(h, tols.symTol)
-    indices = core.multi_indices(h.dims)
-    seen: dict[tuple, tuple] = {}
-    for I in indices:
-        for J in indices:
-            key = tuple((min(i, j), max(i, j)) for i, j in zip(I, J))
-            val = arr[tuple(i - 1 for i in I) + tuple(j - 1 for j in J)]
-            if key in seen:
-                refI, refJ, ref = seen[key]
-                if abs(val - ref) > tols.symTol:
-                    return False, (refI, refJ, I, J)
-            else:
-                seen[key] = (I, J, val)
-    return True, None
+    m = h.order
+    # the first member of a group in scan order puts the smaller index of
+    # every mode pair in I: compare each entry with that one
+    idx = np.ogrid[tuple(slice(n) for n in h.dims + h.dims)]
+    lo = [np.minimum(idx[s], idx[m + s]) for s in range(m)]
+    hi = [np.maximum(idx[s], idx[m + s]) for s in range(m)]
+    bad = np.abs(arr - arr[tuple(lo + hi)]) > tols.symTol
+    if not bad.any():
+        return True, None
+    pos = np.unravel_index(int(np.argmax(bad)), bad.shape)
+    I, J = tuple(int(i) + 1 for i in pos[:m]), tuple(int(j) + 1 for j in pos[m:])
+    return False, (tuple(map(min, I, J)), tuple(map(max, I, J)), I, J)
 
 
 def _witness_text(witness) -> str:

@@ -538,3 +538,16 @@ def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):
     assert _json_run(["--tol", "symTol=1e-6", "real-check", path], capsys) == (0, {"real_decomposable": True})
     assert run(["real-check", path]) == 1
     assert capsys.readouterr().out.startswith("real_decomposable: False")
+
+
+def test_sep_witness_accepts_large_valid_tensors(tmp_path, capsys):
+    # the rounding residue of <A, B> grows with ||A|| ||B||: about -4.9e-4
+    # here, far above symTol as an absolute number
+    paths = []
+    for seed in (1, 101):
+        h = core.random_hermitian((2, 2), seed)
+        path = tmp_path / f"big{seed}.hten"
+        hio.save_hten(path, core.HermitianTensor(h.dims, h.mat * 1e6))
+        paths.append(str(path))
+    assert run(["sep-witness", paths[0], "--witness", paths[1]]) in (0, 1, 2)
+    assert "imaginary residue" not in capsys.readouterr().err

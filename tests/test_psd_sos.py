@@ -124,6 +124,50 @@ class TestMultiplier:
             assert core.eval_poly(roomy, xs) >= -1e-10
 
 
+def basis_values(basis, xs):
+    """b(x) straight from the exponent table: prod x^e conj(x)^f."""
+    x = np.concatenate(xs)
+    e = np.asarray(basis)
+    t = x.shape[0]
+    return np.prod(x ** e[:, :t] * x.conj() ** e[:, t:], axis=1)
+
+
+class TestGramForms:
+    @pytest.mark.parametrize("dims, powers", [
+        ((2, 2), (1, 0)), ((2, 2), (1, 1)), ((2, 2), (0, 2)), ((2, 2, 2), (1, 0, 0)),
+    ])
+    def test_multiplier_gram_form_is_the_multiplied_polynomial(self, rng, dims, powers):
+        h = random_psd_tensor(rng, dims, 3)
+        cert = ps.multiplier_hsos_test(h, powers).certificate
+        for _ in range(5):
+            xs = [rng.standard_normal(n) + 1j * rng.standard_normal(n) for n in dims]
+            b = basis_values(cert.basis, xs)
+            lhs = np.vdot(b, cert.W @ b)
+            mult = np.prod([np.vdot(x, x).real ** k for x, k in zip(xs, powers)])
+            rhs = mult * core.eval_poly(h, xs)
+            assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
+
+    def test_residual_catches_scaled_gram_matrices(self, rng):
+        h = random_psd_tensor(rng, (2, 2), 2)
+        certs = [
+            ps.hsos_test(h).certificate,
+            ps.csos_test(h).certificate,
+            ps.multiplier_hsos_test(h, (1, 0)).certificate,
+        ]
+        for cert in certs:
+            assert ps.gram_reconstruct_residual(h, cert) <= 1e-7
+            scaled = ps.GramCertificate(cert.dims, cert.basis, 1.01 * cert.W, cert.residual)
+            assert ps.gram_reconstruct_residual(h, scaled) > 1e-3
+
+    def test_residual_catches_swapped_basis_rows(self, rng):
+        h = random_psd_tensor(rng, (2, 2), 2)
+        cert = ps.hsos_test(h).certificate
+        basis = list(cert.basis)
+        basis[0], basis[1] = basis[1], basis[0]
+        swapped = ps.GramCertificate(cert.dims, tuple(basis), cert.W, cert.residual)
+        assert ps.gram_reconstruct_residual(h, swapped) > 1e-3
+
+
 class TestPsdVerdict:
     def test_cr_psd_ii_complex_witness(self):
         res = ps.psd_verdict(cr_psd_ii_tensor(), field="COMPLEX", effort=1)

@@ -36,6 +36,53 @@ class TestIsRealDecomposable:
         with pytest.raises(RealityViolation):
             rh.is_real_decomposable(core.basis_tensor((1, 1), (2, 2), 1j, (2, 2)))
 
+    def test_first_of_two_violations_in_scan_order(self):
+        # group {1,3}{1,3} has the earlier reference (1133) but breaks only
+        # at 1331; group {1,2}{2,3} breaks at 1322, first in scan order
+        arr = np.zeros((3, 3, 3, 3))
+        arr[0, 1, 1, 2] = arr[1, 2, 0, 1] = 0.25
+        arr[0, 2, 1, 1] = arr[1, 1, 0, 2] = 0.5
+        arr[0, 2, 2, 0] = arr[2, 0, 0, 2] = 1.0
+        ok, witness = rh.is_real_decomposable(core.validate((3, 3), arr))
+        assert not ok
+        assert witness == ((1, 2), (2, 3), (1, 3), (2, 2))
+        assert rh._witness_text(witness) == "1223 vs 1322"
+
+    def test_matches_the_pairwise_scan(self, rng):
+        def scan(h, tol):
+            # reference: the first member of each group seen, entry by entry
+            arr = h.as_array().real
+            seen = {}
+            for I in core.multi_indices(h.dims):
+                for J in core.multi_indices(h.dims):
+                    key = tuple((min(i, j), max(i, j)) for i, j in zip(I, J))
+                    val = arr[tuple(i - 1 for i in I) + tuple(j - 1 for j in J)]
+                    if key not in seen:
+                        seen[key] = (I, J, val)
+                    elif abs(val - seen[key][2]) > tol:
+                        return False, seen[key][:2] + (I, J)
+            return True, None
+
+        for dims in ((2, 2), (2, 3), (3, 3), (2, 2, 2)):
+            base = dec.assemble(random_real_decomposition(rng, dims, 3)).mat.real
+            for k in range(4):
+                mat = base.copy()
+                for _ in range(k):
+                    i, j = rng.integers(mat.shape[0], size=2)
+                    mat[i, j] += 0.1
+                    mat[j, i] = mat[i, j]
+                h = core.HermitianTensor(dims, mat.astype(complex))
+                assert rh.is_real_decomposable(h) == scan(h, core.TOL.symTol)
+
+    def test_large_identity_and_planted_violation(self):
+        h = core.identity_tensor((16, 16))
+        assert rh.is_real_decomposable(h) == (True, None)
+        arr = h.as_array().real.copy()
+        arr[2, 4, 6, 1] = arr[6, 1, 2, 4] = 0.5
+        ok, witness = rh.is_real_decomposable(core.validate((16, 16), arr))
+        assert not ok
+        assert witness == ((3, 2), (7, 5), (3, 5), (7, 2))
+
 
 class TestDims:
     def test_22(self):
