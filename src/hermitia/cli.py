@@ -112,7 +112,7 @@ def _fmt_val(v):
 def _tols(args) -> core.Tolerances:
     known = [f.name for f in dataclasses.fields(core.Tolerances)]
     out = {}
-    for item in args.tol or []:
+    for item in (args.tol or []) + getattr(args, "verb_tol", []):
         name, eq, val = item.partition("=")
         if not eq:
             raise _UsageError(f"--tol expects name=value, got {item!r}")
@@ -355,15 +355,26 @@ def _expected_rank(h, args, tols):
             "expected_hrank": decomposition.expected_hrank(args.dims)}, EXIT_OK, None
 
 
+def _global_flags(p, after_verb: bool):
+    """--seed, --json and --tol, accepted before and after the verb.  After
+    it they default to absent, so they override only when given; --tol
+    items from both places are kept (in ``tol`` and ``verb_tol``)."""
+    absent = argparse.SUPPRESS
+    p.add_argument("--seed", type=int, default=absent if after_verb else 0, help="PRNG seed (PCG64)")
+    p.add_argument("--json", action="store_true", default=absent if after_verb else False,
+                   help="machine-readable report")
+    p.add_argument("--tol", action="append", default=absent if after_verb else None,
+                   dest="verb_tol" if after_verb else "tol", metavar="NAME=VALUE",
+                   help="override a named tolerance (repeatable)")
+
+
 def build_parser() -> _Parser:
     p = _Parser(prog="hermitia", description="Hermitian tensor analyses")
-    p.add_argument("--seed", type=int, default=0, help="PRNG seed (PCG64)")
-    p.add_argument("--json", action="store_true", help="machine-readable report")
-    p.add_argument("--tol", action="append", metavar="NAME=VALUE",
-                   help="override a named tolerance (repeatable)")
+    _global_flags(p, after_verb=False)
     sub = p.add_subparsers(dest="verb", required=True)
     for name, (_, arguments, hten) in VERBS.items():
         sp = sub.add_parser(name)
+        _global_flags(sp, after_verb=True)
         if hten:
             sp.add_argument("input")
         for flags, kwargs in arguments:

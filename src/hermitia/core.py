@@ -191,6 +191,13 @@ def kron_vector(vectors) -> np.ndarray:
     return out
 
 
+def _rank1_sum(lams, zs) -> np.ndarray:
+    """sum_j lams[j] z_j z_j^* for the rows z_j of ``zs`` (r, N), by one
+    matmul; leading batch axes on both arguments give one sum per batch."""
+    zs = np.asarray(zs, dtype=np.complex128)
+    return (np.swapaxes(zs, -1, -2) * np.asarray(lams, dtype=float)[..., None, :]) @ zs.conj()
+
+
 def rank1(lam: float, vectors, dims=None) -> HermitianTensor:
     """Hermitian rank-1 tensor lam * [v1, ..., vm]: entries
     lam * prod_k (v_k)_{i_k} * conj((v_k)_{j_k})."""
@@ -200,8 +207,7 @@ def rank1(lam: float, vectors, dims=None) -> HermitianTensor:
     lam = float(lam)
     if not np.isfinite(lam):
         raise ShapeMismatch("coefficient must be finite")
-    z = kron_vector(vs)
-    return HermitianTensor(tuple(dims), lam * np.outer(z, z.conj()))
+    return HermitianTensor(tuple(dims), _rank1_sum([lam], kron_vector(vs)[None]))
 
 
 def inner(a: HermitianTensor, b: HermitianTensor, tols: Tolerances = TOL) -> float:

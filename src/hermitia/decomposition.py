@@ -73,18 +73,11 @@ class HermitianDecomposition:
         return [vs[k - 1] for _, vs in self.terms]
 
 
-def _rank1_sum(lams, zs) -> np.ndarray:
-    """sum_j lams[j] z_j z_j^* for the rows z_j of ``zs`` (r, N), by one
-    matmul; leading batch axes on both arguments give one sum per batch."""
-    zs = np.asarray(zs, dtype=np.complex128)
-    return (np.swapaxes(zs, -1, -2) * np.asarray(lams, dtype=float)[..., None, :]) @ zs.conj()
-
-
 def assemble(d: HermitianDecomposition) -> core.HermitianTensor:
     """Sum of the rank-1 terms, symmetrized to be exactly Hermitian."""
     n = core.size_of(d.dims)
     zs = np.array([core.kron_vector(vectors) for _, vectors in d.terms]).reshape(-1, n)
-    mat = _rank1_sum(d.coefficients(), zs)
+    mat = core._rank1_sum(d.coefficients(), zs)
     return core.HermitianTensor(d.dims, (mat + mat.conj().T) / 2.0)
 
 
@@ -105,12 +98,10 @@ def normalize(d: HermitianDecomposition) -> HermitianDecomposition:
         out = []
         for v in vectors:
             nv = float(np.linalg.norm(v))
-            if nv == 0.0:
-                out.append(v.copy())
-                continue
-            w = linalg.phase_normalize(v / nv)
-            out.append(w)
-            lam = lam * nv * nv
+            if nv != 0.0:
+                v = linalg.phase_normalize(v / nv)
+                lam *= nv * nv
+            out.append(v)
         terms.append((lam, tuple(out)))
     return HermitianDecomposition(d.dims, tuple(terms))
 
@@ -159,53 +150,16 @@ def kruskal_certify(d: HermitianDecomposition, tols: core.Tolerances = core.TOL)
     return KruskalReport(ks, r, total >= r + d.order, total - (r + d.order))
 
 
-@dataclass(frozen=True)
-class BasisDecompPlan:
-    """Closed-form plan for decomposing a basis tensor on d differing modes.
-
-    Nodes are the 2-vectors u_k = (1, exp(i k pi / d)) for k = 0..d; the
-    first differing mode instead carries (c, exp(+-i k pi / d)).  Interior
-    nodes appear twice (once conjugated), end nodes once, with signs
-    (-1)^k and overall weight 1/(2d)."""
-
-    d: int
-    c: complex
-    thetas: tuple[float, ...]
-    terms: tuple[tuple[float, tuple[np.ndarray, ...]], ...]
-
-
-def basis_plan(d: int, c: complex) -> BasisDecompPlan:
-    """Rank decomposition of the all-(1,2) basis tensor of order d, value c."""
-    if d < 1:
-        raise ShapeMismatch("plan order d must be >= 1")
-    c = complex(c)
-    thetas = tuple(k * math.pi / d for k in range(d + 1))
-    weight = 1.0 / (2.0 * d)
-
-    def node(theta: float) -> np.ndarray:
-        return np.array([1.0, np.exp(1j * theta)], dtype=np.complex128)
-
-    def cnode(theta: float) -> np.ndarray:
-        return np.array([c, np.exp(1j * theta)], dtype=np.complex128)
-
-    terms = []
-    for k in range(d + 1):
-        sign = -1.0 if k % 2 else 1.0
-        th = thetas[k]
-        terms.append((sign * weight, (cnode(th),) + tuple(node(th) for _ in range(d - 1))))
-        if 0 < k < d:
-            terms.append((sign * weight, (cnode(-th),) + tuple(node(-th) for _ in range(d - 1))))
-    return BasisDecompPlan(d, c, thetas, tuple(terms))
-
-
 def basis_decomposition(I, J, c, dims) -> HermitianDecomposition:
     """Hermitian rank decomposition of the basis tensor with entry c at (I, J).
 
     One term when I = J (c must then be real); otherwise exactly 2d terms
     where d counts the differing index positions -- the certified
-    Hermitian rank.  The plan is built on the differing modes and mapped
-    back by placing each 2-vector's entries at positions (i_k, j_k);
-    identical modes contribute the fixed unit vector e_{i_k}.
+    Hermitian rank.  With theta_k = k pi / d, term k (k = 0..d) has
+    coefficient (-1)^k / (2d) and carries (1, exp(i theta_k)) at positions
+    (i_s, j_s) of every differing mode s, the first differing mode with c
+    in place of 1; interior k (0 < k < d) add the conjugate-angle term.
+    Identical modes carry the unit vector e_{i_s}.
     """
     dims = core.check_dims(dims)
     I, J = tuple(int(i) for i in I), tuple(int(j) for j in J)
@@ -213,42 +167,32 @@ def basis_decomposition(I, J, c, dims) -> HermitianDecomposition:
     c = complex(c)
     if c == 0:
         raise ShapeMismatch("basis coefficient c must be nonzero")
+    diff = [s for s in range(len(dims)) if I[s] != J[s]]
+    if not diff and c.imag != 0.0:
+        raise NonRealDiagonal(f"diagonal basis tensor at {I} needs real c, got {c}")
+    for s in diff:
+        if dims[s] < 2:
+            raise DimensionTooSmall(f"mode {s + 1} has size 1 but labels differ")
 
-    def unit(k: int, i: int) -> np.ndarray:
-        v = np.zeros(dims[k], dtype=np.complex128)
-        v[i - 1] = 1.0
-        return v
+    def term(theta: float) -> tuple[np.ndarray, ...]:
+        vectors = tuple(np.eye(n, dtype=np.complex128)[i - 1] for n, i in zip(dims, I))
+        for s in diff:
+            vectors[s][J[s] - 1] = np.exp(1j * theta)
+        if diff:
+            vectors[diff[0]][I[diff[0]] - 1] = c
+        return vectors
 
-    diff = [k for k in range(len(dims)) if I[k] != J[k]]
-    if not diff:
-        if c.imag != 0.0:
-            raise NonRealDiagonal(f"diagonal basis tensor at {I} needs real c, got {c}")
-        vectors = tuple(unit(k, I[k]) for k in range(len(dims)))
-        return HermitianDecomposition(dims, ((c.real, vectors),))
-
-    for k in diff:
-        if dims[k] < 2:
-            raise DimensionTooSmall(f"mode {k + 1} has size 1 but labels differ")
-
-    plan = basis_plan(len(diff), c)
-
-    def embed(k: int, w: np.ndarray) -> np.ndarray:
-        v = np.zeros(dims[k], dtype=np.complex128)
-        v[I[k] - 1] = w[0]
-        v[J[k] - 1] = w[1]
-        return v
-
+    d = len(diff)
+    if not d:
+        return HermitianDecomposition(dims, ((c.real, term(0.0)),))
+    weight = 1.0 / (2.0 * d)
     terms = []
-    for lam, plan_vectors in plan.terms:
-        vectors = []
-        slot = 0
-        for k in range(len(dims)):
-            if k in diff:
-                vectors.append(embed(k, plan_vectors[slot]))
-                slot += 1
-            else:
-                vectors.append(unit(k, I[k]))
-        terms.append((lam, tuple(vectors)))
+    for k in range(d + 1):
+        lam = (-1.0 if k % 2 else 1.0) * weight
+        theta = k * math.pi / d
+        terms.append((lam, term(theta)))
+        if 0 < k < d:
+            terms.append((lam, term(-theta)))
     return HermitianDecomposition(dims, tuple(terms))
 
 
@@ -262,12 +206,9 @@ def expected_hrank(dims) -> int:
 
 def _fit_coefficients(h: core.HermitianTensor, vector_tuples) -> np.ndarray:
     """Real least-squares coefficients for given rank-1 directions."""
-    cols = []
-    for vectors in vector_tuples:
-        z = core.kron_vector(vectors)
-        t = np.outer(z, z.conj()).reshape(-1)
-        cols.append(np.concatenate([t.real, t.imag]))
-    x = np.column_stack(cols)
+    zs = core.kron_vector([np.array(modes) for modes in zip(*vector_tuples)])
+    t = core.kron_vector([zs, zs.conj()])  # row j: vec(z_j z_j^*)
+    x = np.concatenate([t.real, t.imag], axis=1).T
     y = np.concatenate([h.mat.reshape(-1).real, h.mat.reshape(-1).imag])
     sol, *_ = np.linalg.lstsq(x, y, rcond=None)
     return sol
@@ -330,19 +271,16 @@ def jennrich_decompose(
 
     pdims = tuple(h.dims[k] for k in cubic.mode_order)
     inverse = np.argsort(cubic.mode_order)
-    tuples = []
+    found = []
     for a in factors:
         vecs, res = linalg.rank1_factor(a.reshape(pdims))
         if res > 1e-5:
             return Unknown(f"recovered factor is not rank-1 (residual {res:.2e})")
-        unit_vecs = []
-        for v in vecs:
-            nv = float(np.linalg.norm(v))
-            if nv == 0.0:
-                return Unknown("recovered a zero mode vector")
-            unit_vecs.append(linalg.phase_normalize(v / nv))
-        tuples.append(tuple(unit_vecs[k] for k in inverse))
+        if any(float(np.linalg.norm(v)) == 0.0 for v in vecs):
+            return Unknown("recovered a zero mode vector")
+        found.append((1.0, tuple(vecs[k] for k in inverse)))
 
+    tuples = [vs for _, vs in normalize(HermitianDecomposition(h.dims, tuple(found))).terms]
     lams = _fit_coefficients(h, tuples)
     terms = tuple(
         (float(lam), vs) for lam, vs in zip(lams, tuples) if abs(lam) > 1e-12 * max(1.0, hnorm)

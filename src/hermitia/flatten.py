@@ -67,8 +67,9 @@ class BoundReport:
 
 
 def hermitian_flatten(h: core.HermitianTensor) -> FlatMatrix:
-    """N-by-N Hermitian matrix with (I, J) entry H[I, J]."""
-    return FlatMatrix(h.mat.copy(), HERMITIAN_M)
+    """N-by-N Hermitian matrix with (I, J) entry H[I, J]: the tensor's own
+    read-only entry matrix, not a copy."""
+    return FlatMatrix(h.mat, HERMITIAN_M)
 
 
 def _as_m_matrix(mat) -> np.ndarray:

@@ -259,6 +259,8 @@ def loads_gram(text: str):
             raise FormatError(f"basis row {i} needs {width} exponents")
         basis.append(tuple(exps))
     w = _read_mtxc_block(lines)
+    if w.shape != (count, count):
+        raise FormatError(f"W has shape {w.shape}, expected {(count, count)} for {count} basis rows")
     rline = lines.next("residual").split()
     if rline[0] != "residual" or len(rline) != 2:
         raise FormatError("expected 'residual <value>'")

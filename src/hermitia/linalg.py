@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TOL
+from .core import TOL, _rank1_sum, kron_vector
 from .errors import NoConvergence, SymmetryViolation, ZeroTensor
 
 
@@ -25,8 +25,7 @@ class SpectralDecomp:
     eigenvectors: np.ndarray
 
     def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
+        return _rank1_sum(self.eigenvalues, np.swapaxes(self.eigenvectors, -1, -2))
 
 
 def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -89,9 +88,7 @@ def matrix_rank(a, rel_tol: float = TOL.rankTol) -> int:
 def psd_project(a) -> np.ndarray:
     """Frobenius-nearest positive semidefinite matrix (eigenvalues clipped at 0)."""
     sd = herm_eig(a)
-    w = np.clip(sd.eigenvalues, 0.0, None)
-    v = sd.eigenvectors
-    out = (v * w) @ v.conj().T
+    out = SpectralDecomp(np.clip(sd.eigenvalues, 0.0, None), sd.eigenvectors).reconstruct()
     return (out + out.conj().T) / 2.0
 
 
@@ -127,8 +124,5 @@ def rank1_factor(t) -> tuple[list[np.ndarray], float]:
         factors.append(u)
         cur = np.tensordot(u.conj(), cur, axes=(0, 0))
     factors.append(np.asarray(cur, dtype=np.complex128).reshape(-1))
-    approx = factors[0]
-    for f in factors[1:]:
-        approx = np.multiply.outer(approx, f)
-    residual = float(np.linalg.norm(t - approx)) / tnorm
+    residual = float(np.linalg.norm(t.reshape(-1) - kron_vector(factors))) / tnorm
     return factors, residual

@@ -213,8 +213,20 @@ def gram_reconstruct_residual(h: core.HermitianTensor, cert: GramCertificate) ->
     Sums the Gram entries over each monomial conj(b_p) b_q and compares
     with |x_1|^{2 d_1} ... |x_m|^{2 d_m} H(x, conj x), the multiplier
     degrees d_k read from the basis (zero for the holomorphic and CSOS
-    bases); monomials outside the tensor's support must cancel.
+    bases); monomials outside the tensor's support must cancel.  Raises
+    ``ShapeMismatch`` unless W is K-by-K for the K basis rows, every row
+    has width 2 * sum(dims), and all rows share one positive degree per
+    mode.
     """
+    k, t = len(cert.basis), sum(h.dims)
+    if np.shape(cert.W) != (k, k):
+        raise ShapeMismatch(f"W has shape {np.shape(cert.W)} for {k} basis rows")
+    if any(len(row) != 2 * t for row in cert.basis):
+        raise ShapeMismatch(f"basis rows must have width {2 * t}")
+    b = np.array(cert.basis, dtype=np.int64).reshape(k, 2 * t)
+    deg = np.add.reduceat(b[:, :t] + b[:, t:], np.cumsum((0,) + h.dims[:-1]), axis=1)
+    if not k or deg.min() < 1 or np.any(deg != deg[0]):
+        raise ShapeMismatch("basis rows need one common positive degree per mode")
     cmap = _coefficient_map(h.dims, cert.basis)
     return float(np.abs(cmap.of_gram(cert.W) - cmap.of_tensor(h)).max())
 

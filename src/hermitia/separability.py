@@ -20,12 +20,13 @@ imaginary parts.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import core, flatten, linalg, psd_sos, real_herm, spectral
-from .decomposition import HermitianDecomposition, _rank1_sum, residual
+from .decomposition import HermitianDecomposition, residual
 from .errors import BlockNotPsd, NotRealDecomposable, RealityViolation, ShapeMismatch
 
 SEARCH_STARTS = 8
@@ -65,16 +66,6 @@ class PsdKronDecomp:
             cooked.append(tuple(bs))
         object.__setattr__(self, "terms", tuple(cooked))
 
-    def flattening_sum(self) -> np.ndarray:
-        n = core.size_of(self.dims)
-        out = np.zeros((n, n), dtype=np.complex128)
-        for blocks in self.terms:
-            acc = np.ones((1, 1), dtype=np.complex128)
-            for b in blocks:
-                acc = np.kron(acc, b)
-            out += acc
-        return out
-
 
 def _vectors_real(vectors) -> bool:
     return all(bool(np.all(v.imag == 0.0)) for v in vectors)
@@ -102,20 +93,18 @@ def psd_kron_verify(
     a: core.HermitianTensor,
     tols: core.Tolerances = core.TOL,
 ) -> bool:
-    """Blocks Hermitian (``symTol``) and psd (``eigTol``), and the
-    Kronecker-product sum equal to the flattening (``sepTol``)."""
+    """Blocks Hermitian (``symTol``), psd by the rule of
+    ``psd_kron_to_decomposition`` (``eigTol``), and its spectral split a
+    positive decomposition of a (``verify_positive_decomposition``)."""
     if pk.dims != a.dims:
         raise ShapeMismatch(f"shapes differ: {pk.dims} vs {a.dims}")
-    for blocks in pk.terms:
-        for b in blocks:
-            if float(np.abs(b - b.conj().T).max()) > tols.symTol:
-                return False
-            wmin = linalg.herm_eig(b).eigenvalues[0]
-            if wmin < -tols.eigTol * max(1.0, float(np.linalg.norm(b))):
-                return False
-    target = flatten.hermitian_flatten(a).mat
-    dev = float(np.linalg.norm(pk.flattening_sum() - target))
-    return dev <= tols.sepTol * max(float(np.linalg.norm(target)), 1e-300)
+    if any(float(np.abs(b - b.conj().T).max()) > tols.symTol for blocks in pk.terms for b in blocks):
+        return False
+    try:
+        d = psd_kron_to_decomposition(pk, tols)
+    except BlockNotPsd:
+        return False
+    return verify_positive_decomposition(d, a, tols=tols)
 
 
 def psd_kron_to_decomposition(pk: PsdKronDecomp, tols: core.Tolerances = core.TOL) -> HermitianDecomposition:
@@ -136,12 +125,7 @@ def psd_kron_to_decomposition(pk: PsdKronDecomp, tols: core.Tolerances = core.TO
             ]
             per_mode.append(pairs)
         for combo in itertools.product(*per_mode):
-            lam = 1.0
-            vecs = []
-            for w, v in combo:
-                lam *= w
-                vecs.append(v)
-            terms.append((lam, tuple(vecs)))
+            terms.append((math.prod(w for w, _ in combo), tuple(v for _, v in combo)))
     return HermitianDecomposition(pk.dims, tuple(terms))
 
 
@@ -262,7 +246,7 @@ def _budget_search(a, seeds, iters, starts, tols, finish):
                 continue
             others = lams[rows]
             others[:, i] = 0.0
-            res_arr = (a.mat - _rank1_sum(others, zs[rows])).reshape((len(rows),) + a.dims * 2)
+            res_arr = (a.mat - core._rank1_sum(others, zs[rows])).reshape((len(rows),) + a.dims * 2)
             for k, n in enumerate(a.dims):
                 mk = spectral._mode_matrices(res_arr, [x[rows, i] for x in xs], k + 1)
                 sd = linalg.herm_eig(mk)
@@ -278,7 +262,7 @@ def _budget_search(a, seeds, iters, starts, tols, finish):
         # the zero rows and columns of padded terms are cut and solve to 0
         sol = np.linalg.pinv(gram, rcond=np.finfo(float).eps * rb[act]) @ rhs[:, :, None]
         lams[act] = np.clip(sol[:, :, 0], 1e-12, None) * live_term[act]
-        res[act] = np.linalg.norm(a.mat - _rank1_sum(lams[act], z), axis=(1, 2))
+        res[act] = np.linalg.norm(a.mat - core._rank1_sum(lams[act], z), axis=(1, 2))
         ok = res[act] <= thresh
         np.minimum.at(first_ok, act[ok] // starts, act[ok] % starts)
         # a fitted start stops; starts after its budget's first fitted one

@@ -257,7 +257,7 @@ def unitary_decomposable(h: core.HermitianTensor, tols: core.Tolerances = core.T
     first offending term otherwise.  Repeated nonzero eigenvalues (within
     ``eigGapTol``, relative) leave the question open here: INCONCLUSIVE.
     """
-    from .decomposition import HermitianDecomposition
+    from .decomposition import HermitianDecomposition, normalize
 
     od = orthogonal_decompose(h, tols)
     if not od.terms:
@@ -275,14 +275,5 @@ def unitary_decomposable(h: core.HermitianTensor, tols: core.Tolerances = core.T
         if not term.unit_rank1:
             return UnitaryReport("NO", witness=term,
                                  note=f"eigentensor has rank-1 residual {term.rank1_residual:.3e}")
-    terms = []
-    for term in od.terms:
-        vecs, _ = linalg.rank1_factor(term.tensor)
-        lam = term.value
-        units = []
-        for v in vecs:
-            nv = float(np.linalg.norm(v))
-            lam *= nv * nv
-            units.append(linalg.phase_normalize(v / nv))
-        terms.append((lam, tuple(units)))
-    return UnitaryReport("YES", HermitianDecomposition(h.dims, tuple(terms)))
+    terms = tuple((term.value, linalg.rank1_factor(term.tensor)[0]) for term in od.terms)
+    return UnitaryReport("YES", normalize(HermitianDecomposition(h.dims, terms)))

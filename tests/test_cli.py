@@ -70,6 +70,30 @@ def test_json_mirrors_text(hankel_file, capsys):
                     "lower_bound": rep.bound}
 
 
+def test_global_flags_after_the_verb(tmp_path, capsys):
+    before, after = tmp_path / "before.hten", tmp_path / "after.hten"
+    assert run(["--seed", "1", "random", "--dims", "2,2", "--out", str(before)]) == 0
+    assert run(["random", "--dims", "2,2", "--out", str(after), "--seed", "1"]) == 0
+    assert before.read_bytes() == after.read_bytes()
+    capsys.readouterr()
+    assert run(["info", str(after), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["dims"] == [2, 2]
+
+
+def test_tol_after_the_verb_changes_the_outcome(near_product_file):
+    # the eigTol case of test_psd_honours_eig_tols, given after the verb
+    assert run(["psd", near_product_file]) == 2
+    assert run(["psd", near_product_file, "--tol", "eigTol=1e-6"]) == 0
+
+
+def test_tol_before_and_after_the_verb_both_apply(tmp_path):
+    # rdTol decides only once symTol admits the file (TOL_CASES["rdTol"])
+    path = tmp_path / "a.hten"
+    hio.save_hten(path, near_real_decomposable())
+    assert run(["--tol", "symTol=1e-6", "real-decompose", str(path)]) == 2
+    assert run(["--tol", "symTol=1e-6", "real-decompose", str(path), "--tol", "rdTol=1e-6"]) == 0
+
+
 def test_usage_error_exit_64():
     assert run(["no-such-verb"]) == 64
     assert run(["--tol", "bogus=1", "expected-rank", "--dims", "2"]) == 64

@@ -15,6 +15,11 @@ class TestHermitianFlatten:
         z = np.kron(u, v)
         assert np.allclose(flatten.hermitian_flatten(h).mat, 2.5 * np.outer(z, z.conj()))
 
+    def test_shares_the_read_only_entries(self):
+        h = core.random_hermitian((2, 3), 0)
+        fm = flatten.hermitian_flatten(h)
+        assert fm.mat is h.mat and not fm.mat.flags.writeable
+
     def test_basis_rank_two(self):
         h = core.basis_tensor((1, 1), (2, 2), 1.0, (2, 2))
         assert linalg.matrix_rank(flatten.hermitian_flatten(h).mat) == 2

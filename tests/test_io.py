@@ -115,6 +115,12 @@ class TestGramAndSepv:
         assert np.array_equal(again.W, cert.W)
         assert again.residual == cert.residual
 
+    def test_gram_w_must_match_the_basis(self):
+        cert = psd_sos.hsos_test(core.identity_tensor((2, 2))).certificate
+        bad = psd_sos.GramCertificate(cert.dims, cert.basis, np.eye(5), 0.0)
+        with pytest.raises(FormatError, match="expected"):
+            hio.loads_gram(hio.dumps_gram(bad))
+
     def test_sepv_embeds_payloads(self):
         from hermitia import separability
         d = dec.HermitianDecomposition(

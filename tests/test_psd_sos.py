@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hermitia import core, decomposition as dec, linalg, psd_sos as ps
-from hermitia.errors import BasisTooLarge
+from hermitia.errors import BasisTooLarge, ShapeMismatch
 
 from conftest import cr_psd_ii_tensor, csos_not_hsos_tensor, random_unit
 
@@ -67,6 +67,30 @@ class TestCsos:
             assert res.status == "FEASIBLE"
             assert ps.gram_reconstruct_residual(h, res.certificate) <= 1e-7
             assert linalg.herm_eig(res.certificate.W).eigenvalues[0] >= -1e-9
+
+
+class TestGramResidualValidation:
+    # a malformed certificate is a shape error, not a numpy failure
+    def cert(self, basis=None, w=None):
+        good = ps.hsos_test(core.identity_tensor((2, 2))).certificate
+        basis = good.basis if basis is None else basis
+        return ps.GramCertificate((2, 2), basis, good.W if w is None else w, 0.0)
+
+    def test_w_size_must_match_the_basis(self):
+        with pytest.raises(ShapeMismatch, match="W has shape"):
+            ps.gram_reconstruct_residual(core.identity_tensor((2, 2)), self.cert(w=np.eye(5)))
+
+    def test_row_width_must_match_the_shape(self):
+        basis = ps.hol_basis((2, 2))
+        basis = basis[:3] + (basis[3][:-1],)
+        with pytest.raises(ShapeMismatch, match="width"):
+            ps.gram_reconstruct_residual(core.identity_tensor((2, 2)), self.cert(basis))
+
+    @pytest.mark.parametrize("first_row", [(1, 0, 0, 0, 0, 0, 0, 0), (1, 0, 1, 0, 0, 0, 1, 0)])
+    def test_row_degrees_must_be_positive_and_equal(self, first_row):
+        basis = (first_row,) + ps.hol_basis((2, 2))[1:]
+        with pytest.raises(ShapeMismatch, match="degree"):
+            ps.gram_reconstruct_residual(core.identity_tensor((2, 2)), self.cert(basis))
 
 
 class TestMultiplier:

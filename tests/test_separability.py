@@ -68,6 +68,15 @@ class TestPsdKron:
         with pytest.raises(BlockNotPsd):
             sep.psd_kron_to_decomposition(pk)
 
+    def test_verify_and_split_share_one_psd_rule(self):
+        # -1.5e-8 lies within eigTol of the block's Frobenius norm (200) but
+        # not of its spectral norm (100); verifying and splitting both reject
+        block = np.diag([100.0, 100.0, 100.0, 100.0, -1.5e-8])
+        pk = sep.PsdKronDecomp((5, 1), ((block, np.eye(1)),))
+        assert not sep.psd_kron_verify(pk, core.HermitianTensor((5, 1), block))
+        with pytest.raises(BlockNotPsd):
+            sep.psd_kron_to_decomposition(pk)
+
     def test_block_shape_checked(self):
         with pytest.raises(ShapeMismatch):
             sep.PsdKronDecomp((2, 2), ((np.eye(3), np.eye(2)),))
