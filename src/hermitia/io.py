@@ -10,6 +10,8 @@ as zero.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from . import core
@@ -19,9 +21,22 @@ from .errors import FormatError
 # Largest N = n1...nm an HTEN file may declare; the loader allocates N x N.
 MAX_N = 4096
 
+# Entry lines per bulk parse step: bounds the token lists held at once, so
+# the parse adds little to the N x N matrix even at MAX_N.
+_BLOCK = 1024
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+# The same text as format(x, ".17g"), including -0, subnormals, inf and nan.
+_FLOAT = "%.17g"
+
+
+def _row_format(n_int: int, n_float: int) -> str:
+    """``%``-format of one text row: ``n_int`` integers, then ``n_float`` floats."""
+    return " ".join(["%d"] * n_int + [_FLOAT] * n_float)
+
+
+def _reals(a) -> np.ndarray:
+    """Complex entries as their interleaved real and imaginary parts."""
+    return np.ascontiguousarray(a, dtype=np.complex128).view(np.float64)
 
 
 def _parse_floats(tokens, want: int, where: str) -> list[float]:
@@ -40,9 +55,39 @@ def _parse_ints(tokens, where: str) -> list[int]:
         raise FormatError(f"{where}: {exc}") from exc
 
 
+def _parse_rows(rows, width: int, n_int: int, finish, check_row):
+    """Parse token rows of ``width`` fields each in one bulk pass.
+
+    The first ``n_int`` columns are read with ``int``, each as one strided
+    slice of the flat token list, into an (n_int, k) int64 array; the
+    others with ``float`` into a (k, width - n_int) float64 array.
+    ``finish(ints, floats)`` builds the result, or returns None when a row
+    is invalid.  On any failure ``check_row(i, tokens)`` runs on the rows
+    in order, so the first bad row raises its own error.
+    """
+    k = len(rows)
+    if set(map(len, rows)) <= {width}:
+        flat = list(itertools.chain.from_iterable(rows))
+        int_cols = [flat[c::width] for c in range(n_int)]
+        try:
+            # labels repeat: convert each distinct token once
+            to_int = {t: int(t) for t in set(itertools.chain.from_iterable(int_cols))}
+            ints = np.array([list(map(to_int.__getitem__, col)) for col in int_cols], dtype=np.int64)
+            floats = list(map(float, itertools.chain.from_iterable(r[n_int:] for r in rows)))
+        except (ValueError, OverflowError):  # a bad token, or a label beyond int64
+            pass
+        else:
+            out = finish(ints.reshape(n_int, k), np.array(floats, dtype=np.float64).reshape(k, width - n_int))
+            if out is not None:
+                return out
+    for i, tokens in enumerate(rows):
+        check_row(i, tokens)
+    raise AssertionError("a bulk check failed on rows that pass every line check")
+
+
 class _Lines:
     def __init__(self, text: str):
-        self.lines = [ln.rstrip("\n") for ln in text.splitlines()]
+        self.lines = text.splitlines()
         self.pos = 0
 
     def next(self, where: str) -> str:
@@ -53,13 +98,15 @@ class _Lines:
                 return ln.strip()
         raise FormatError(f"unexpected end of input while reading {where}")
 
-    def peek(self) -> str | None:
-        pos = self.pos
-        while pos < len(self.lines):
-            if self.lines[pos].strip():
-                return self.lines[pos].strip()
-            pos += 1
-        return None
+    def take(self, count: int) -> list[list[str]]:
+        """The next ``count`` nonblank lines split into tokens; fewer at the
+        end of the input."""
+        rows = []
+        while len(rows) < count and self.pos < len(self.lines):
+            chunk = self.lines[self.pos:self.pos + count - len(rows)]
+            self.pos += len(chunk)
+            rows += filter(None, map(str.split, chunk))
+        return rows
 
     def expect(self, token: str):
         ln = self.next(token)
@@ -73,16 +120,40 @@ class _Lines:
 
 def dumps_hten(h: core.HermitianTensor) -> str:
     out = ["HTEN 1", "dims " + " ".join(str(n) for n in h.dims)]
-    indices = core.multi_indices(h.dims)
-    for ii, I in enumerate(indices):
-        for jj in range(ii, len(indices)):
-            J = indices[jj]
-            v = h.mat[ii, jj]
-            if v != 0:
-                out.append(
-                    " ".join(str(x) for x in I + J) + f" {_fmt(v.real)} {_fmt(v.imag)}"
-                )
+    labels = np.array(core.multi_indices(h.dims))
+    i, j = np.nonzero(np.triu(h.mat != 0))  # row-major: the I <= J listing order
+    v = h.mat[i, j]
+    fmt = _row_format(2 * len(h.dims), 2)
+    out += [fmt % row for row in zip(*labels[i].T.tolist(), *labels[j].T.tolist(),
+                                      v.real.tolist(), v.imag.tolist())]
     return "\n".join(out) + "\n"
+
+
+def _check_entry(tokens, dims):
+    """Raise the error of the first check an HTEN entry line fails, if any."""
+    m = len(dims)
+    if len(tokens) != 2 * m + 2:
+        raise FormatError(f"entry line needs {2 * m + 2} fields, got {len(tokens)}")
+    labels = _parse_ints(tokens[: 2 * m], "entry labels")
+    _parse_floats(tokens[2 * m:], 2, "entry value")
+    I, J = tuple(labels[:m]), tuple(labels[m:])
+    core.flat_index(dims, I)
+    core.flat_index(dims, J)
+    if I > J:
+        raise FormatError(f"entry {I}{J} violates the I <= J listing rule")
+
+
+def _place_entries(dims, labels: np.ndarray, values: np.ndarray):
+    """Flat positions (pi, pj) and values of parsed entry rows, or None when
+    a label is out of range or an entry has I > J."""
+    m = len(dims)
+    if not ((labels >= 1) & (labels <= np.array(dims * 2)[:, None])).all():
+        return None
+    pi = np.ravel_multi_index(tuple(labels[:m] - 1), dims)
+    pj = np.ravel_multi_index(tuple(labels[m:] - 1), dims)
+    if not (pi <= pj).all():
+        return None
+    return pi, pj, values.view(np.complex128)[:, 0]
 
 
 def loads_hten(text: str, tols: core.Tolerances = core.TOL) -> core.HermitianTensor:
@@ -98,20 +169,19 @@ def loads_hten(text: str, tols: core.Tolerances = core.TOL) -> core.HermitianTen
     if n > MAX_N:
         raise FormatError(f"dims {dims} give N = {n}, above the limit {MAX_N}")
     mat = np.zeros((n, n), dtype=np.complex128)
-    while lines.peek() is not None:
-        tokens = lines.next("entry").split()
-        if len(tokens) != 2 * m + 2:
-            raise FormatError(f"entry line needs {2 * m + 2} fields, got {len(tokens)}")
-        labels = _parse_ints(tokens[: 2 * m], "entry labels")
-        re_val, im_val = _parse_floats(tokens[2 * m:], 2, "entry value")
-        val = complex(re_val, im_val)
-        I, J = tuple(labels[:m]), tuple(labels[m:])
-        pi = core.flat_index(dims, I)
-        pj = core.flat_index(dims, J)
-        if I > J:
-            raise FormatError(f"entry {I}{J} violates the I <= J listing rule")
-        mat[pi, pj] = val
-        mat[pj, pi] = np.conj(val)
+    while rows := lines.take(_BLOCK):
+        pi, pj, vals = _parse_rows(
+            rows, 2 * m + 2, 2 * m,
+            lambda labels, values: _place_entries(dims, labels, values),
+            lambda _, tokens: _check_entry(tokens, dims),
+        )
+        # a repeated (I, J) keeps its last line; numpy does not order
+        # repeated fancy-index writes, so drop the earlier ones first
+        _, last = np.unique((pi * n + pj)[::-1], return_index=True)
+        keep = len(pi) - 1 - last
+        pi, pj, vals = pi[keep], pj[keep], vals[keep]
+        mat[pi, pj] = vals
+        mat[pj, pi] = vals.conj()
     return core.validate(dims, mat, tols)
 
 
@@ -132,10 +202,9 @@ def load_hten(path, tols: core.Tolerances = core.TOL) -> core.HermitianTensor:
 def dumps_hdec(d: HermitianDecomposition) -> str:
     out = ["HDEC 1", "dims " + " ".join(str(n) for n in d.dims), f"terms {len(d)}"]
     for lam, vectors in d.terms:
-        out.append(f"lambda {_fmt(lam)}")
+        out.append(f"lambda {_FLOAT}" % lam)
         for k, v in enumerate(vectors, start=1):
-            pairs = " ".join(f"{_fmt(z.real)} {_fmt(z.imag)}" for z in v)
-            out.append(f"v{k} {pairs}")
+            out.append(f"v{k} " + _row_format(0, 2 * len(v)) % tuple(_reals(v).tolist()))
     return "\n".join(out) + "\n"
 
 
@@ -162,11 +231,11 @@ def loads_hdec(text: str) -> HermitianDecomposition:
             vline = lines.next(f"v{k}").split()
             if vline[0] != f"v{k}":
                 raise FormatError(f"expected 'v{k}', got {vline[0]!r}")
-            vals = _parse_floats(vline[1:], 2 * dims[k - 1], f"v{k}")
-            vec = np.array(
-                [complex(vals[2 * i], vals[2 * i + 1]) for i in range(dims[k - 1])]
-            )
-            vectors.append(vec)
+            width = 2 * dims[k - 1]
+            vectors.append(_parse_rows(
+                [vline[1:]], width, 0, lambda _, floats: floats.view(np.complex128)[0],
+                lambda _, tokens: _parse_floats(tokens, width, f"v{k}"),
+            ))
         terms.append((lam, tuple(vectors)))
     return HermitianDecomposition(dims, tuple(terms))
 
@@ -190,8 +259,8 @@ def dumps_mtxc(mat) -> str:
     if arr.ndim != 2:
         raise FormatError(f"MTXC serializes matrices, got ndim={arr.ndim}")
     out = ["MTXC 1", f"size {arr.shape[0]} {arr.shape[1]}"]
-    for row in arr:
-        out.append(" ".join(f"{_fmt(z.real)} {_fmt(z.imag)}" for z in row))
+    fmt = _row_format(0, 2 * arr.shape[1])
+    out += [fmt % tuple(row.tolist()) for row in _reals(arr)]
     return "\n".join(out) + "\n"
 
 
@@ -208,10 +277,13 @@ def _read_mtxc_block(lines: _Lines) -> np.ndarray:
     rows, cols = _parse_ints(header[1:], "size")
     if rows < 0 or cols < 0:
         raise FormatError("matrix dimensions must be nonnegative")
-    mat = np.zeros((rows, cols), dtype=np.complex128)
-    for i in range(rows):
-        vals = _parse_floats(lines.next(f"row {i}").split(), 2 * cols, f"row {i}")
-        mat[i] = [complex(vals[2 * j], vals[2 * j + 1]) for j in range(cols)]
+    tokens = lines.take(rows)
+    mat = _parse_rows(
+        tokens, 2 * cols, 0, lambda _, floats: floats.view(np.complex128),
+        lambda i, row: _parse_floats(row, 2 * cols, f"row {i}"),
+    )
+    if len(tokens) < rows:
+        raise FormatError(f"unexpected end of input while reading row {len(tokens)}")
     return mat
 
 
@@ -234,7 +306,7 @@ def dumps_gram(cert) -> str:
     for exps in cert.basis:
         out.append(" ".join(str(e) for e in exps))
     out.append(dumps_mtxc(cert.W).rstrip("\n"))
-    out.append(f"residual {_fmt(cert.residual)}")
+    out.append(f"residual {_FLOAT}" % cert.residual)
     return "\n".join(out) + "\n"
 
 
@@ -257,6 +329,8 @@ def loads_gram(text: str):
         exps = _parse_ints(lines.next(f"basis row {i}").split(), f"basis row {i}")
         if len(exps) != width:
             raise FormatError(f"basis row {i} needs {width} exponents")
+        if min(exps, default=0) < 0:
+            raise FormatError(f"basis row {i} has a negative exponent")
         basis.append(tuple(exps))
     w = _read_mtxc_block(lines)
     if w.shape != (count, count):
@@ -277,7 +351,7 @@ def dumps_sepv(verdict) -> str:
     if verdict.note:
         out.append("note " + verdict.note.replace("\n", " "))
     if verdict.witness_value is not None:
-        out.append(f"inner {_fmt(verdict.witness_value)}")
+        out.append(f"inner {_FLOAT}" % verdict.witness_value)
     if verdict.decomposition is not None:
         out.append("decomposition")
         out.append(dumps_hdec(verdict.decomposition).rstrip("\n"))

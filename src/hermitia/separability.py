@@ -27,7 +27,7 @@ import numpy as np
 
 from . import core, flatten, linalg, psd_sos, real_herm, spectral
 from .decomposition import HermitianDecomposition, residual
-from .errors import BlockNotPsd, NotRealDecomposable, RealityViolation, ShapeMismatch
+from .errors import BlockNotPsd, NotRealDecomposable, RealityViolation, ShapeMismatch, SymmetryViolation
 
 SEARCH_STARTS = 8
 
@@ -93,28 +93,31 @@ def psd_kron_verify(
     a: core.HermitianTensor,
     tols: core.Tolerances = core.TOL,
 ) -> bool:
-    """Blocks Hermitian (``symTol``), psd by the rule of
-    ``psd_kron_to_decomposition`` (``eigTol``), and its spectral split a
-    positive decomposition of a (``verify_positive_decomposition``)."""
+    """Blocks Hermitian (``symTol``) and psd (``eigTol``) by the rules of
+    ``psd_kron_to_decomposition``, and its spectral split a positive
+    decomposition of a (``verify_positive_decomposition``)."""
     if pk.dims != a.dims:
         raise ShapeMismatch(f"shapes differ: {pk.dims} vs {a.dims}")
-    if any(float(np.abs(b - b.conj().T).max()) > tols.symTol for blocks in pk.terms for b in blocks):
-        return False
     try:
         d = psd_kron_to_decomposition(pk, tols)
-    except BlockNotPsd:
+    except (SymmetryViolation, BlockNotPsd):
         return False
     return verify_positive_decomposition(d, a, tols=tols)
 
 
 def psd_kron_to_decomposition(pk: PsdKronDecomp, tols: core.Tolerances = core.TOL) -> HermitianDecomposition:
     """Spectral split of every block into a positive decomposition
-    (eigenvalues within ``eigTol`` of zero are dropped)."""
+    (eigenvalues within ``eigTol`` of zero are dropped).  A block must be
+    Hermitian within ``symTol`` (else ``SymmetryViolation``); its Hermitian
+    part is split."""
     terms = []
     for blocks in pk.terms:
         per_mode = []
         for b in blocks:
-            sd = linalg.herm_eig(b)
+            dev = float(np.abs(b - b.conj().T).max())
+            if dev > tols.symTol:
+                raise SymmetryViolation(f"block is not Hermitian: deviation {dev:.3e} > {tols.symTol:.1e}")
+            sd = linalg.herm_eig((b + b.conj().T) / 2.0)
             scale = max(1.0, float(np.abs(sd.eigenvalues).max()))
             if sd.eigenvalues[0] < -tols.eigTol * scale:
                 raise BlockNotPsd(f"block has eigenvalue {sd.eigenvalues[0]:.3e}")

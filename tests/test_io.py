@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hermitia import core, decomposition as dec, io as hio, psd_sos
-from hermitia.errors import FormatError
+from hermitia.errors import FormatError, ShapeMismatch
 
 from conftest import random_unit
 
@@ -65,6 +65,73 @@ class TestHten:
             hio.loads_hten("HTEN 1\ndims 2\n1 1 1 1\n")
 
 
+# (body lines of a dims 2 2 file, error class, exact message)
+MALFORMED_HTEN = [
+    (["1 1 1 1 0.5"], FormatError, "entry line needs 6 fields, got 5"),
+    (["1 x 1 1 0.5 0"], FormatError, "entry labels: invalid literal for int() with base 10: 'x'"),
+    (["1 1 1 1 y 0"], FormatError, "entry value: could not convert string to float: 'y'"),
+    (["1 1 1 3 0.5 0"], ShapeMismatch, "multi-index (1, 3) out of range for shape (2, 2)"),
+    (["0 1 1 1 0.5 0"], ShapeMismatch, "multi-index (0, 1) out of range for shape (2, 2)"),
+    (["1 99999999999999999999 2 2 1 0"], ShapeMismatch,
+     "multi-index (1, 99999999999999999999) out of range for shape (2, 2)"),
+    (["2 2 1 1 1 0"], FormatError, "entry (2, 2)(1, 1) violates the I <= J listing rule"),
+    # two bad lines: the first one in file order is reported
+    (["1 1 1 1 1 0", "1 2 1 2 y 0", "1 1 1 1 0.5"], FormatError,
+     "entry value: could not convert string to float: 'y'"),
+    (["1 1 1 1 1 0", "1 1 1 1 0.5", "1 2 1 2 y 0"], FormatError, "entry line needs 6 fields, got 5"),
+    (["2 2 1 1 1 0", "1 x 1 1 0.5 0"], FormatError, "entry (2, 2)(1, 1) violates the I <= J listing rule"),
+]
+
+
+class TestHtenBody:
+    @pytest.mark.parametrize("body,error,message", MALFORMED_HTEN)
+    def test_malformed_line_message(self, body, error, message):
+        with pytest.raises(error) as excinfo:
+            hio.loads_hten("HTEN 1\ndims 2 2\n" + "\n".join(body) + "\n")
+        assert str(excinfo.value) == message
+
+    def test_repeated_entry_keeps_the_last_value(self):
+        h = hio.loads_hten("HTEN 1\ndims 2\n1 2 1 0\n2 2 4 0\n1 2 3 -1\n")
+        assert h.mat[0, 1] == 3 - 1j and h.mat[1, 0] == 3 + 1j and h.mat[1, 1] == 4
+
+    def test_blank_lines_tabs_and_crlf(self):
+        text = "HTEN 1\r\ndims 2\r\n\r\n1\t1\t2 0\r\n  \t\r\n 1 2\t0.5 -1 \r\n\r\n"
+        want = np.array([[2, 0.5 - 1j], [0.5 + 1j, 0]])
+        assert np.array_equal(hio.loads_hten(text).mat, want)
+
+    def test_error_in_the_second_parse_block(self):
+        # the first block parses cleanly, so the error must come from the second
+        body = ["1 2 1 0"] * hio._BLOCK + ["1 2 7 0", "1 1 x 0", "1 1 1"]
+        with pytest.raises(FormatError) as excinfo:
+            hio.loads_hten("HTEN 1\ndims 2\n" + "\n".join(body) + "\n")
+        assert str(excinfo.value) == "entry value: could not convert string to float: 'x'"
+        h = hio.loads_hten("HTEN 1\ndims 2\n" + "\n".join(body[:-2]) + "\n")
+        assert h.mat[0, 1] == 7  # a repeat across blocks also keeps the last value
+
+
+SPECIAL_FLOATS = [-0.0, 5e-324, 2.5e-310, 1e308, -1e308, np.inf, -np.inf, np.nan, 0.1, 1 / 3]
+
+
+class TestRowFormat:
+    def test_mtxc_matches_format_17g(self):
+        reals = np.array(SPECIAL_FLOATS + [2.0, -0.0]).reshape(3, 4)
+        text = hio.dumps_mtxc(reals.view(np.complex128))
+        want = [" ".join(format(x, ".17g") for x in row) for row in reals.tolist()]
+        assert text.splitlines()[2:] == want
+
+    def test_gram_w_block_matches_format_17g(self):
+        cert = psd_sos.hsos_test(core.identity_tensor((2, 2))).certificate
+        w = np.array(SPECIAL_FLOATS[:8], dtype=float).view(np.complex128).reshape(2, 2)
+        w_full = np.zeros(cert.W.shape, dtype=np.complex128)
+        w_full[:2, :2] = w
+        text = hio.dumps_gram(psd_sos.GramCertificate(cert.dims, cert.basis, w_full, -0.0))
+        lines = text.splitlines()
+        first = lines.index("MTXC 1") + 2
+        row0 = w_full[0].view(np.float64).tolist()
+        assert lines[first] == " ".join(format(x, ".17g") for x in row0)
+        assert lines[-1] == "residual -0"
+
+
 class TestHdec:
     def test_roundtrip_exact(self, tmp_path, rng):
         terms = tuple(
@@ -100,6 +167,16 @@ class TestMtxc:
         hio.save_mtxc(path, m)
         assert np.array_equal(hio.load_mtxc(path), m)
 
+    @pytest.mark.parametrize("rows,message", [
+        ("1 x\n", "row 0: could not convert string to float: 'x'"),  # before the missing row 1
+        ("1 0\n", "unexpected end of input while reading row 1"),
+        ("1 0\n\n1 0 0\n", "row 1: expected 2 numbers, got 3"),
+    ])
+    def test_first_bad_row_reported(self, rows, message):
+        with pytest.raises(FormatError) as excinfo:
+            hio.loads_mtxc("MTXC 1\nsize 2 1\n" + rows)
+        assert str(excinfo.value) == message
+
     def test_size_line(self):
         text = hio.dumps_mtxc(np.zeros((2, 5)))
         assert text.splitlines()[1] == "size 2 5"
@@ -120,6 +197,13 @@ class TestGramAndSepv:
         bad = psd_sos.GramCertificate(cert.dims, cert.basis, np.eye(5), 0.0)
         with pytest.raises(FormatError, match="expected"):
             hio.loads_gram(hio.dumps_gram(bad))
+
+    def test_gram_rejects_negative_exponents(self):
+        cert = psd_sos.hsos_test(core.identity_tensor((2, 2))).certificate
+        lines = hio.dumps_gram(cert).splitlines()
+        lines[3] = "2 -1 1 0 0 0 0 0"  # the first basis row; still degree 1 per mode
+        with pytest.raises(FormatError, match="basis row 0 has a negative exponent"):
+            hio.loads_gram("\n".join(lines) + "\n")
 
     def test_sepv_embeds_payloads(self):
         from hermitia import separability

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hermitia import core, decomposition as dec, flatten, separability as sep
-from hermitia.errors import BlockNotPsd, NonRealInner, ShapeMismatch
+from hermitia.errors import BlockNotPsd, NonRealInner, ShapeMismatch, SymmetryViolation
 
 from conftest import hankel_tensor, hankel_witness, random_unit, separable_62_matrix
 
@@ -75,6 +75,15 @@ class TestPsdKron:
         pk = sep.PsdKronDecomp((5, 1), ((block, np.eye(1)),))
         assert not sep.psd_kron_verify(pk, core.HermitianTensor((5, 1), block))
         with pytest.raises(BlockNotPsd):
+            sep.psd_kron_to_decomposition(pk)
+
+    def test_block_within_sym_tol_is_split_by_its_hermitian_part(self):
+        # 5e-8 off Hermitian: above the eigensolver's own 1e-8 check, within symTol 1e-7
+        pk = sep.PsdKronDecomp((2, 1), ((np.array([[2.0, 5e-8], [0.0, 1.0]]), np.eye(1)),))
+        a = core.HermitianTensor((2, 1), np.diag([2.0, 1.0]))
+        assert sep.psd_kron_verify(pk, a, core.Tolerances(symTol=1e-7)) is True
+        assert sep.psd_kron_verify(pk, a) is False
+        with pytest.raises(SymmetryViolation):
             sep.psd_kron_to_decomposition(pk)
 
     def test_block_shape_checked(self):
