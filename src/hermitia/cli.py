@@ -33,6 +33,7 @@ from .errors import (
     OrderTooSmall,
     RankBudgetExceeded,
     RealityViolation,
+    ShapeMismatch,
 )
 
 EXIT_OK = 0
@@ -61,6 +62,32 @@ def _dims_arg(text: str) -> tuple[int, ...]:
         return tuple(int(t) for t in text.replace(",", " ").split())
     except ValueError as exc:
         raise _UsageError(f"bad dims {text!r}: {exc}") from exc
+
+
+def _shape_arg(text: str) -> tuple[int, ...]:
+    try:
+        return core.check_dims(_dims_arg(text))
+    except ShapeMismatch as exc:
+        raise _UsageError(str(exc)) from exc
+
+
+def _tensor_shape_arg(text: str) -> tuple[int, ...]:
+    """A shape whose tensor is built: N at most the HTEN limit ``io.MAX_N``."""
+    dims = _shape_arg(text)
+    if core.size_of(dims) > io.MAX_N:
+        raise _UsageError(f"dims {dims} give N = {core.size_of(dims)}, above the limit {io.MAX_N}")
+    return dims
+
+
+def _int_at_least(least: int):
+    """argparse type: an int no smaller than ``least``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be >= {least}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
 
 
 def _complex_arg(text: str) -> complex:
@@ -154,7 +181,7 @@ def _arg(*flags, **kwargs):
 _OUT = _arg("--out")
 _GRAM_OUT = _arg("--out", help="write the Gram certificate as a GRAM record")
 _FIELD = _arg("--field", choices=["COMPLEX", "REAL"], default="COMPLEX")
-_DIMS = _arg("--dims", required=True, type=_dims_arg)
+_DIMS = _arg("--dims", required=True, type=_tensor_shape_arg)
 
 
 def _verb(name, *arguments, hten=True):
@@ -199,7 +226,10 @@ def _bounds(h, args, tols):
        _arg("--I", required=True, type=_dims_arg), _arg("--J", required=True, type=_dims_arg),
        _arg("--c", default="1", type=_complex_arg), _OUT, hten=False)
 def _basis_decompose(h, args, tols):
-    d = decomposition.basis_decomposition(args.I, args.J, args.c, args.dims)
+    try:
+        d = decomposition.basis_decomposition(args.I, args.J, args.c, args.dims)
+    except ShapeMismatch as exc:  # no input file: a bad --I, --J or --c
+        raise _UsageError(str(exc)) from exc
     bt = core.basis_tensor(args.I, args.J, args.c, args.dims)
     return {"terms": len(d), "residual": decomposition.residual(d, bt)}, EXIT_OK, d
 
@@ -248,7 +278,7 @@ def _real_decompose(h, args, tols):
     return report, "DECOMPOSED", d
 
 
-@_verb("eig", _FIELD, _arg("--starts", type=int, default=spectral.DEFAULT_STARTS))
+@_verb("eig", _FIELD, _arg("--starts", type=_int_at_least(1), default=spectral.DEFAULT_STARTS))
 def _eig(h, args, tols):
     search = spectral.herm_eigenpair(h, seed=args.seed, field=args.field,
                                      starts=args.starts, tols=tols)
@@ -281,7 +311,7 @@ def _hsos(h, args, tols):
     return {"hsos": False, "negative_eigenvalue": res.negative_eigenvalue}, EXIT_NEGATIVE, None
 
 
-@_verb("csos", _arg("--iters", type=int, default=psd_sos.CSOS_ITERS), _GRAM_OUT)
+@_verb("csos", _arg("--iters", type=_int_at_least(0), default=psd_sos.CSOS_ITERS), _GRAM_OUT)
 def _csos(h, args, tols):
     res = psd_sos.csos_test(h, iters=args.iters, tols=tols)
     report = {"status": res.status, "iterations": res.iterations, "residual": res.residual}
@@ -291,12 +321,14 @@ def _csos(h, args, tols):
 @_verb("omega", _arg("--k", required=True, type=_dims_arg,
                      help="comma-separated powers, one per mode"), _GRAM_OUT)
 def _omega(h, args, tols):
+    if len(args.k) != h.order or min(args.k) < 0:
+        raise _UsageError(f"--k needs {h.order} nonnegative powers, got {args.k}")
     res = psd_sos.multiplier_hsos_test(h, args.k, tols=tols)
     return {"status": res.status, "powers": list(res.powers),
             "min_eigenvalue": res.min_eigenvalue}, res.status, res.certificate
 
 
-@_verb("psd", _FIELD, _arg("--effort", type=int, default=2))
+@_verb("psd", _FIELD, _arg("--effort", type=_int_at_least(0), default=2))
 def _psd(h, args, tols):
     res = psd_sos.psd_verdict(h, field=args.field, effort=args.effort, seed=args.seed, tols=tols)
     report = {"status": res.status, "field": res.field, "note": res.note, "seed": args.seed}
@@ -319,8 +351,8 @@ def _sep_witness(h, args, tols):
     return {"status": res.status, "inner": res.value}, res.status, None
 
 
-@_verb("sep-search", _arg("--r", type=int, required=True),
-       _arg("--iters", type=int, default=200), _OUT)
+@_verb("sep-search", _arg("--r", type=_int_at_least(1), required=True),
+       _arg("--iters", type=_int_at_least(0), default=200), _OUT)
 def _sep_search(h, args, tols):
     res = separability.separable_search(h, args.r, seed=args.seed, iters=args.iters, tols=tols)
     report = {"status": res.status, "note": res.note, "seed": args.seed}
@@ -329,7 +361,7 @@ def _sep_search(h, args, tols):
     return report, res.status, res.decomposition
 
 
-@_verb("sep-pipeline", _FIELD, _arg("--effort", type=int, default=4),
+@_verb("sep-pipeline", _FIELD, _arg("--effort", type=_int_at_least(1), default=4),
        _arg("--out", help="write the verdict as a SEPV record"))
 def _sep_pipeline(h, args, tols):
     res = separability.separability_pipeline(h, args.field, effort=args.effort,
@@ -349,7 +381,7 @@ def _random(h, args, tols):
     return report, EXIT_OK, h
 
 
-@_verb("expected-rank", _DIMS, hten=False)
+@_verb("expected-rank", _arg("--dims", required=True, type=_shape_arg), hten=False)
 def _expected_rank(h, args, tols):
     return {"dims": list(args.dims),
             "expected_hrank": decomposition.expected_hrank(args.dims)}, EXIT_OK, None

@@ -19,6 +19,8 @@ from .decomposition import HermitianDecomposition
 from .errors import FormatError
 
 # Largest N = n1...nm an HTEN file may declare; the loader allocates N x N.
+# An MTXC matrix (either flattening has N^2 entries) and a GRAM basis are
+# bounded by the same N.
 MAX_N = 4096
 
 # Entry lines per bulk parse step: bounds the token lists held at once, so
@@ -277,6 +279,8 @@ def _read_mtxc_block(lines: _Lines) -> np.ndarray:
     rows, cols = _parse_ints(header[1:], "size")
     if rows < 0 or cols < 0:
         raise FormatError("matrix dimensions must be nonnegative")
+    if max(rows, 1) * max(cols, 1) > MAX_N ** 2:  # an empty side still shapes the array
+        raise FormatError(f"size {rows} x {cols} is above the limit of {MAX_N}^2 entries")
     tokens = lines.take(rows)
     mat = _parse_rows(
         tokens, 2 * cols, 0, lambda _, floats: floats.view(np.complex128),
@@ -323,6 +327,8 @@ def loads_gram(text: str):
     if bline[0] != "basis" or len(bline) != 2:
         raise FormatError("expected 'basis <count>'")
     (count,) = _parse_ints(bline[1:], "basis")
+    if count > MAX_N:
+        raise FormatError(f"basis count {count} is above the limit {MAX_N}")
     width = 2 * sum(dims)
     basis = []
     for i in range(count):

@@ -175,39 +175,32 @@ def separable_search(
     """
     if r < 1:
         raise ShapeMismatch("rank budget r must be >= 1")
-    return _budget_search(a, {r: seed}, iters, starts, tols, lambda _, v: v)
+    return _budget_search(a, {r: seed}, iters, starts, tols)[r]
 
 
-def _budget_search(a, seeds, iters, starts, tols, finish):
+def _budget_search(a, seeds, iters, starts, tols):
     """``separable_search`` at every rank budget r in ``seeds`` (r -> seed),
     all budgets and starts in lock-step.
 
     Rows are budget-major; terms are padded to the largest budget with
     zero vectors and zero coefficients, which add nothing to a residual.
-    When a budget's search ends, ``finish(r, verdict)`` maps its verdict
-    to a result or None, and a result stops every larger budget.  Returns
-    the result of the smallest budget that gave one, else None: what
-    calling ``separable_search`` budget by budget in ascending order would
-    give.
+    A budget's rows stop as soon as a smaller budget has a fitted start,
+    since that smaller budget certifies.  Returns {r: SepVerdict} in
+    ascending r for every budget up to the smallest one with a fitted
+    start (every budget when none fits); each verdict is what
+    ``separable_search`` gives on that budget alone.
     """
     anorm = core.norm(a)
+    if anorm <= 1e-14:
+        return {min(seeds): SepVerdict("SEPARABLE_CERTIFIED", decomposition=HermitianDecomposition(a.dims, ()),
+                                       note="zero tensor: empty positive decomposition")}
     mrank = linalg.matrix_rank(a.mat, tols.rankTol)
-    results, budgets = {}, []
-    for r in sorted(seeds):
-        if anorm <= 1e-14:
-            fixed = SepVerdict("SEPARABLE_CERTIFIED", decomposition=HermitianDecomposition(a.dims, ()),
-                               note="zero tensor: empty positive decomposition")
-        elif mrank > r:
-            fixed = SepVerdict("UNKNOWN", note=f"flattening rank {mrank} exceeds the budget r={r}; "
-                                               "no decomposition of that length exists")
-        else:
-            budgets.append(r)
-            continue
-        results[r] = finish(r, fixed)
-        if results[r] is not None:
-            return results[r]
+    verdicts = {r: SepVerdict("UNKNOWN", note=f"flattening rank {mrank} exceeds the budget r={r}; "
+                                              "no decomposition of that length exists")
+                for r in sorted(seeds) if r < mrank}
+    budgets = sorted(r for r in seeds if r >= mrank)
     if not budgets:
-        return None
+        return verdicts
     rb = np.repeat(budgets, starts)  # the budget of every row
     rmax = budgets[-1]
     live_term = np.arange(rmax) < rb[:, None]
@@ -223,25 +216,8 @@ def _budget_search(a, seeds, iters, starts, tols, finish):
     res = np.full(len(rb), np.inf)
     act = np.arange(len(rb))  # rows still running
     first_ok = np.full(len(budgets), starts)  # per budget, lowest start that fit
-    limit = len(budgets)  # budgets from this index on are stopped
+    last = len(budgets)  # index of the smallest budget with a fitted start
     thresh = 0.2 * tols.sepTol * anorm
-
-    def settle(running):
-        """Finish the budgets below ``limit`` that have no running row."""
-        nonlocal act, limit
-        for b in range(limit):
-            r = budgets[b]
-            if r in results or running[b]:
-                continue
-            rows = slice(b * starts, (b + 1) * starts)
-            pick = b * starts + (first_ok[b] if first_ok[b] < starts else int(np.argmin(res[rows])))
-            results[r] = finish(r, _fitted_verdict(a, lams[pick, :r], [x[pick, :r] for x in xs],
-                                                   res[pick], tols))
-            if results[r] is not None:
-                limit = b + 1
-                act = act[act < limit * starts]
-                return
-
     for _ in range(iters):
         for i in range(rmax):
             rows = act[rb[act] > i]
@@ -268,14 +244,17 @@ def _budget_search(a, seeds, iters, starts, tols, finish):
         res[act] = np.linalg.norm(a.mat - core._rank1_sum(lams[act], z), axis=(1, 2))
         ok = res[act] <= thresh
         np.minimum.at(first_ok, act[ok] // starts, act[ok] % starts)
-        # a fitted start stops; starts after its budget's first fitted one
-        # cannot win
-        act = act[~ok & (act % starts < first_ok[act // starts])]
-        settle(np.bincount(act // starts, minlength=len(budgets)) > 0)
+        last = int(np.append(first_ok < starts, True).argmax())
+        # a fitted start stops; so do the starts after its budget's first
+        # fitted one, which cannot win, and every budget above a fitted one
+        act = act[~ok & (act % starts < first_ok[act // starts]) & (act // starts <= last)]
         if not act.size:
             break
-    settle(np.zeros(len(budgets), dtype=bool))
-    return next((results[r] for r in sorted(results) if results[r] is not None), None)
+    for b, r in enumerate(budgets[:last + 1]):
+        rows = slice(b * starts, (b + 1) * starts)
+        pick = b * starts + (first_ok[b] if first_ok[b] < starts else int(np.argmin(res[rows])))
+        verdicts[r] = _fitted_verdict(a, lams[pick, :r], [x[pick, :r] for x in xs], res[pick], tols)
+    return verdicts
 
 
 def _fitted_verdict(a, lams, xs, res, tols) -> SepVerdict:
@@ -333,9 +312,11 @@ def separability_pipeline(
     eigenvector q yields the auto-witness unflatten(q q*), which always
     carries its own psd certificate.  (2) Real separability additionally
     requires real decomposability.  (3) Alternating search at rank
-    budgets 1..effort, all run in lock-step, the smallest budget that
-    certifies winning; a complex certificate of a real-decomposable
-    tensor transfers to the real field by vector splitting.
+    budgets 1..effort, all run in lock-step; a budget stops once a smaller
+    one has a fitted start, and the smallest budget that certifies wins.
+    For the REAL field its complex certificate is split into real and
+    imaginary parts; if the split fails the ``sepTol`` check, the answer
+    is UNKNOWN.
     """
     if field_name not in ("COMPLEX", "REAL"):
         raise ShapeMismatch(f"unknown field {field_name!r}")
@@ -362,19 +343,23 @@ def separability_pipeline(
                 note=f"not real-Hermitian decomposable ({exc}); "
                      "hence not R-separable, but no dual certificate is produced",
             )
-    def finish(r, found):
-        if found.status != "SEPARABLE_CERTIFIED":
-            return None
-        if field_name == "REAL":
-            realified = realify_decomposition(found.decomposition)
-            if verify_positive_decomposition(realified, a, "REAL", tols):
-                return SepVerdict("SEPARABLE_CERTIFIED", "REAL", decomposition=realified,
-                                  note=f"complex certificate at r={r} transferred by vector splitting")
-            return None
-        return SepVerdict("SEPARABLE_CERTIFIED", "COMPLEX", decomposition=found.decomposition,
-                          note=f"alternating search succeeded at r={r}")
-
     seeds = {r: seed + r for r in range(1, max(1, effort) + 1)}
-    found = _budget_search(a, seeds, iters, SEARCH_STARTS, tols, finish)
-    return found or SepVerdict("UNKNOWN", field_name,
-                               note=f"search exhausted rank budgets 1..{effort}")
+    for r, found in _budget_search(a, seeds, iters, SEARCH_STARTS, tols).items():
+        if found.status != "SEPARABLE_CERTIFIED":
+            continue
+        if field_name == "COMPLEX":
+            return SepVerdict("SEPARABLE_CERTIFIED", "COMPLEX", decomposition=found.decomposition,
+                              note=f"alternating search succeeded at r={r}")
+        # splitting is the orthogonal projection P onto the real-decomposable
+        # subspace, so ||P(fit) - a||^2 <= ||fit - a||^2 + ||a - P(a)||^2: a
+        # fitted start (0.2 * sepTol) transfers unless a lies within
+        # (0.98, 1) * sepTol * norm(a) of that subspace.  There a larger
+        # budget's tighter fit might transfer, but larger budgets have
+        # stopped; the answer is UNKNOWN, never a wrong verdict.
+        realified = realify_decomposition(found.decomposition)
+        if verify_positive_decomposition(realified, a, "REAL", tols):
+            return SepVerdict("SEPARABLE_CERTIFIED", "REAL", decomposition=realified,
+                              note=f"complex certificate at r={r} transferred by vector splitting")
+        return SepVerdict("UNKNOWN", "REAL",
+                          note=f"complex certificate at r={r} does not transfer to the real field")
+    return SepVerdict("UNKNOWN", field_name, note=f"search exhausted rank budgets 1..{effort}")

@@ -216,6 +216,38 @@ def test_flag_domain_errors_are_usage_errors(tmp_path):
     assert run(["omega", str(path), "--k", "9,9"]) == 64
 
 
+@pytest.mark.parametrize("argv", [
+    ["eig", "{h}", "--starts", "0"],
+    ["sep-search", "{h}", "--r", "0"],
+    ["omega", "{h}", "--k", "1"],
+    ["basis-decompose", "--dims", "2,2", "--I", "1,2", "--J", "3,1"],
+    ["expected-rank", "--dims", "0,2"],
+    ["random", "--dims", "0", "--out", "{out}"],
+    ["csos", "{h}", "--iters", "-1"],
+    ["sep-pipeline", "{h}", "--effort", "-2"],
+    ["psd", "{h}", "--effort", "-1"],
+    ["basis-decompose", "--dims", "2,2", "--I", "1,2", "--J", "2,1", "--c", "0"],
+    ["random", "--dims", "100,100", "--out", "{out}"],
+], ids=["eig", "sep-search", "omega", "basis-decompose", "expected-rank", "random", "csos",
+        "sep-pipeline", "psd", "basis-decompose-c", "random-above-max-n"])
+def test_bad_flag_values_exit_64(argv, tmp_path, capsys):
+    h, out = tmp_path / "h.hten", tmp_path / "x.hten"
+    hio.save_hten(h, core.random_hermitian((2, 2), 1))
+    assert run([a.format(h=h, out=out) for a in argv]) == 64
+    assert capsys.readouterr().err.startswith("usage error:")
+    assert not out.exists()
+
+
+def test_malformed_files_still_exit_65(tmp_path, capsys):
+    good, bad_hten, bad_hdec = tmp_path / "h.hten", tmp_path / "bad.hten", tmp_path / "bad.hdec"
+    hio.save_hten(good, core.random_hermitian((2, 2), 1))
+    bad_hten.write_text("HTEN 1\ndims 2 2\n1 1 1 1 x 0\n")
+    bad_hdec.write_text("HDEC 1\ndims 2\nterms 1\nlambda 1\n")
+    assert run(["omega", str(bad_hten), "--k", "1,1"]) == 65
+    assert run(["sep-verify", str(good), "--decomposition", str(bad_hdec)]) == 65
+    assert capsys.readouterr().err.count("input error:") == 2
+
+
 def test_gram_certificate_roundtrips_through_cli(tmp_path):
     src = tmp_path / "id.hten"
     hio.save_hten(src, core.identity_tensor((2, 2)))

@@ -181,6 +181,14 @@ class TestMtxc:
         text = hio.dumps_mtxc(np.zeros((2, 5)))
         assert text.splitlines()[1] == "size 2 5"
 
+    @pytest.mark.parametrize("size", ["0 99999999999999999999999", "5000 5000", f"1 {hio.MAX_N ** 2 + 1}"])
+    def test_oversized_size_rejected_before_reading_rows(self, size):
+        with pytest.raises(FormatError, match="above the limit"):
+            hio.loads_mtxc(f"MTXC 1\nsize {size}\n")
+
+    def test_size_at_the_limit_is_read(self):
+        assert hio.loads_mtxc(f"MTXC 1\nsize 0 {hio.MAX_N ** 2}\n").shape == (0, hio.MAX_N ** 2)
+
 
 class TestGramAndSepv:
     def test_gram_roundtrip(self):
@@ -203,6 +211,13 @@ class TestGramAndSepv:
         lines = hio.dumps_gram(cert).splitlines()
         lines[3] = "2 -1 1 0 0 0 0 0"  # the first basis row; still degree 1 per mode
         with pytest.raises(FormatError, match="basis row 0 has a negative exponent"):
+            hio.loads_gram("\n".join(lines) + "\n")
+
+    def test_gram_rejects_oversized_basis_count(self):
+        cert = psd_sos.hsos_test(core.identity_tensor((2, 2))).certificate
+        lines = hio.dumps_gram(cert).splitlines()
+        lines[2] = f"basis {hio.MAX_N + 1}"
+        with pytest.raises(FormatError, match=f"basis count {hio.MAX_N + 1} is above the limit"):
             hio.loads_gram("\n".join(lines) + "\n")
 
     def test_sepv_embeds_payloads(self):

@@ -198,32 +198,48 @@ def assert_same_verdict(got, want, tol=1e-8):
 
 
 class TestBudgetLockstep:
-    """The pipeline runs its rank budgets in lock-step; every budget must
-    give what separable_search gives on it alone."""
+    """The pipeline runs its rank budgets in lock-step; every budget it
+    gets back must give what separable_search gives on it alone, and the
+    budgets above the smallest fitted one stop."""
 
     @staticmethod
     def rank2_23(rng):
         terms = tuple((1.0 + k, (random_unit(rng, 2), random_unit(rng, 3))) for k in range(2))
         return dec.assemble(dec.HermitianDecomposition((2, 3), terms))
 
-    def test_budgets_do_not_couple(self, rng):
-        a = self.rank2_23(rng)
+    def test_budgets_do_not_couple(self):
+        # entangled: no budget fits, so every budget runs to the end
+        a = hankel_tensor()
         seeds = {1: 6, 2: 7, 3: 8, 4: 9}
-        seen = {}
-        assert sep._budget_search(a, seeds, 200, 8, core.TOL,
-                                  lambda r, v: seen.setdefault(r, v) and None) is None
-        assert sorted(seen) == [1, 2, 3, 4]
-        assert "flattening rank" in seen[1].note
+        got = sep._budget_search(a, seeds, 200, 8, core.TOL)
+        assert list(got) == [1, 2, 3, 4]
         for r, s in seeds.items():
             want = sep.separable_search(a, r, seed=s)
-            assert_same_verdict(seen[r], want)
-            assert seen[r].note == want.note
+            assert got[r].status == "UNKNOWN"
+            assert_same_verdict(got[r], want)
+            assert got[r].note == want.note
 
-    def test_rejected_budget_lets_the_next_one_win(self, rng):
+    def test_larger_budgets_stop_at_a_fit(self, rng, monkeypatch):
         a = self.rank2_23(rng)
-        got = sep._budget_search(a, {2: 7, 3: 8, 4: 9}, 200, 8, core.TOL,
-                                 lambda r, v: v if r > 2 else None)
-        assert_same_verdict(got, sep.separable_search(a, 3, seed=8))
+        seeds = {1: 6, 2: 7, 3: 8, 4: 9}
+        eig_rows, herm_eig = [], sep.linalg.herm_eig
+        monkeypatch.setattr(sep.linalg, "herm_eig", lambda m: eig_rows.append(len(m)) or herm_eig(m))
+
+        def search(seeds):
+            eig_rows.clear()
+            return sep._budget_search(a, seeds, 200, 8, core.TOL), sum(eig_rows)
+
+        got, joint = search(seeds)
+        # budgets 3 and 4 ran fewer sweeps than on their own
+        assert joint < sum(search({r: s})[1] for r, s in seeds.items())
+        assert list(got) == [1, 2]
+        assert "flattening rank" in got[1].note
+        fit = got[2].decomposition
+        assert dec.residual(fit, a) <= 0.2 * core.TOL.sepTol * core.norm(a)
+        for r, v in got.items():
+            want = sep.separable_search(a, r, seed=seeds[r])
+            assert_same_verdict(v, want)
+            assert v.note == want.note
 
     def test_pipeline_matches_budget_by_budget(self, rng):
         for a in (tensor_62(), self.rank2_23(rng)):
@@ -285,6 +301,34 @@ class TestPipeline:
         assert real_herm.is_real_decomposable(a)[0]
         r = sep.realify_decomposition(phased)
         assert sep.verify_positive_decomposition(r, a, "REAL")
+
+
+def test_real_transfer_failure_is_unknown(monkeypatch):
+    # the smallest certified budget is the only one tried: larger budgets
+    # stopped at its fit
+    want = sep.separability_pipeline(tensor_62(), "COMPLEX", effort=4, seed=0)
+    r = int(want.note.rsplit("=", 1)[1])
+    split = []
+    monkeypatch.setattr(sep, "realify_decomposition", lambda d: split.append(d) or d)
+    got = sep.separability_pipeline(tensor_62(), "REAL", effort=4, seed=0)
+    assert (got.status, got.field, got.decomposition) == ("UNKNOWN", "REAL", None)
+    assert got.note == f"complex certificate at r={r} does not transfer to the real field"
+    assert len(split) == 1
+    assert_same_verdict(sep.SepVerdict("SEPARABLE_CERTIFIED", decomposition=split[0]),
+                        sep.SepVerdict("SEPARABLE_CERTIFIED", decomposition=want.decomposition))
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (2, 2, 2)])
+def test_realify_never_worsens_a_real_fit(rng, dims):
+    # splitting is the orthogonal projection onto the real-decomposable
+    # subspace, so it moves a fit no further from a tensor in that subspace
+    for _ in range(5):
+        a = dec.assemble(dec.HermitianDecomposition(dims, tuple(
+            (rng.standard_normal(), tuple(random_unit(rng, n, real=True) for n in dims))
+            for _ in range(3))))
+        d = dec.HermitianDecomposition(dims, tuple(
+            (rng.uniform(0.1, 2.0), tuple(random_unit(rng, n) for n in dims)) for _ in range(3)))
+        assert dec.residual(sep.realify_decomposition(d), a) <= dec.residual(d, a) + 1e-12
 
 
 def test_pipeline_real_branch_propagates_unexpected_errors(monkeypatch):
