@@ -17,6 +17,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -149,6 +150,8 @@ def _tols(args) -> core.Tolerances:
             out[name] = float(val)
         except ValueError as exc:
             raise _UsageError(f"bad tolerance value {val!r}") from exc
+        if not (math.isfinite(out[name]) and out[name] >= 0.0):
+            raise _UsageError(f"tolerance {name} must be finite and >= 0, got {val!r}")
     return dataclasses.replace(core.TOL, **out)
 
 
@@ -392,7 +395,8 @@ def _global_flags(p, after_verb: bool):
     it they default to absent, so they override only when given; --tol
     items from both places are kept (in ``tol`` and ``verb_tol``)."""
     absent = argparse.SUPPRESS
-    p.add_argument("--seed", type=int, default=absent if after_verb else 0, help="PRNG seed (PCG64)")
+    p.add_argument("--seed", type=_int_at_least(0), default=absent if after_verb else 0,
+                   help="PRNG seed (PCG64)")
     p.add_argument("--json", action="store_true", default=absent if after_verb else False,
                    help="machine-readable report")
     p.add_argument("--tol", action="append", default=absent if after_verb else None,

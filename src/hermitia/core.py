@@ -33,7 +33,7 @@ class Tolerances:
     ``dataclasses.replace(TOL, eigTol=1e-9)`` as ``tols`` to override one."""
 
     symTol: float = 1e-9  # conjugate and entry symmetry, absolute
-    eigTol: float = 1e-10  # psd tests: least eigenvalue >= -eigTol * scale
+    eigTol: float = 1e-10  # psd tests: least eigenvalue >= -eigTol * largest |eigenvalue|
     rankTol: float = 1e-8  # matrix rank: singular values above rankTol * largest
     cpTol: float = 1e-7  # Jennrich residual, relative to the norm
     rdTol: float = 1e-8  # real decomposition residual, relative to the norm

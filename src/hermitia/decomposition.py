@@ -26,8 +26,6 @@ from .errors import (
     ShapeMismatch,
 )
 
-ZERO_NORM_TOL = 1e-14
-
 Term = tuple[float, tuple[np.ndarray, ...]]
 
 
@@ -231,8 +229,6 @@ def jennrich_decompose(
     of the first unfolding, at ``rankTol``, caps the term count.
     """
     hnorm = core.norm(h)
-    if hnorm <= ZERO_NORM_TOL:
-        return HermitianDecomposition(h.dims, ())
     cubic = flatten.cubic_flatten(h)
     n1, n2, n3 = cubic.dims
     if not 1 <= rmax <= n3:
@@ -240,12 +236,7 @@ def jennrich_decompose(
 
     if h.order == 1:
         # matrix case: the spectral decomposition already is the answer
-        sd = linalg.herm_eig(h.mat)
-        pairs = [
-            (float(w), sd.eigenvectors[:, i].copy())
-            for i, w in enumerate(sd.eigenvalues)
-            if abs(w) > 1e-12 * float(np.abs(sd.eigenvalues).max())
-        ]
+        pairs = linalg.herm_eig(h.mat).kept(1e-12)
         pairs.sort(key=lambda p: -abs(p[0]))
         terms = tuple((w, (linalg.phase_normalize(v),)) for w, v in pairs[:rmax])
         d = HermitianDecomposition(h.dims, terms)
@@ -282,9 +273,7 @@ def jennrich_decompose(
 
     tuples = [vs for _, vs in normalize(HermitianDecomposition(h.dims, tuple(found))).terms]
     lams = _fit_coefficients(h, tuples)
-    terms = tuple(
-        (float(lam), vs) for lam, vs in zip(lams, tuples) if abs(lam) > 1e-12 * max(1.0, hnorm)
-    )
+    terms = tuple((float(lam), vs) for lam, vs in zip(lams, tuples) if abs(lam) > 1e-12 * hnorm)
     d = HermitianDecomposition(h.dims, terms)
     if residual(d, h) > tols.cpTol * hnorm:
         return Unknown("residual above tolerance at the requested rank budget")

@@ -18,7 +18,10 @@ class SpectralDecomp:
     """Eigenvalues ascending; eigenvectors as the matching unitary columns.
 
     For a stack of B matrices the arrays carry a leading batch axis:
-    eigenvalues (B, n), eigenvectors (B, n, n).
+    eigenvalues (B, n), eigenvectors (B, n, n).  ``top``, ``is_psd`` and
+    ``kept`` are for a single matrix; their scale is its own largest
+    |eigenvalue|, with no absolute floor, so they do not depend on the
+    unit of the input.
     """
 
     eigenvalues: np.ndarray
@@ -27,22 +30,31 @@ class SpectralDecomp:
     def reconstruct(self) -> np.ndarray:
         return _rank1_sum(self.eigenvalues, np.swapaxes(self.eigenvectors, -1, -2))
 
+    @property
+    def top(self) -> float:
+        """Largest |eigenvalue|; 0 for a zero matrix."""
+        return float(np.abs(self.eigenvalues).max(initial=0.0))
 
-def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    try:
-        w, v = np.linalg.eigh(a if np.any(a.imag) else a.real)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"Hermitian eigensolver failed: {exc}") from exc
-    return w, v.astype(np.complex128, copy=False)
+    def is_psd(self, eig_tol: float) -> bool:
+        """Least eigenvalue >= -eig_tol * top."""
+        return bool(self.eigenvalues.min(initial=0.0) >= -eig_tol * self.top)
+
+    def kept(self, rel_tol: float) -> list[tuple[float, np.ndarray]]:
+        """Ascending (eigenvalue, eigenvector) pairs with |eigenvalue| > rel_tol * top."""
+        cut = rel_tol * self.top
+        return [(float(w), self.eigenvectors[:, i].copy())
+                for i, w in enumerate(self.eigenvalues) if abs(w) > cut]
 
 
 def herm_eig(a) -> SpectralDecomp:
     """Full spectral decomposition of a Hermitian matrix, or of a stack
-    ``(B, n, n)`` of them solved by one LAPACK call.
+    ``(B, n, n)`` of them solved by one LAPACK ``eigh`` call.
 
-    Real symmetric input (for a stack: every member real) is solved as a
-    real problem, so its eigenvectors stay exactly real.  A zero matrix
-    gets identity eigenvectors.
+    The input must be Hermitian within 1e-8 * max(1, max|a|) per member;
+    its Hermitian part is solved.  Real symmetric input (for a stack:
+    every member real) is solved as a real problem, so its eigenvectors
+    stay exactly real.  LAPACK gives a zero matrix zero eigenvalues and
+    identity eigenvectors.
     """
     a = np.asarray(a, dtype=np.complex128)
     if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
@@ -56,15 +68,11 @@ def herm_eig(a) -> SpectralDecomp:
         where = f"stack member {i}" if a.ndim == 3 else "matrix"
         raise SymmetryViolation(f"{where} is not Hermitian: deviation {dev.flat[i]:.3e}")
     a = (a + ah) / 2.0
-    n = a.shape[-1]
-    if n == 1:
-        return SpectralDecomp(a.real[..., 0].copy(), np.ones(a.shape, dtype=np.complex128))
-    w, v = _eigh(a)
-    zero = scale == 0.0
-    if zero.any():
-        w[zero] = 0.0
-        v[zero] = np.eye(n)
-    return SpectralDecomp(w, v)
+    try:
+        w, v = np.linalg.eigh(a if np.any(a.imag) else a.real)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"Hermitian eigensolver failed: {exc}") from exc
+    return SpectralDecomp(w, v.astype(np.complex128, copy=False))
 
 
 def singular_values(a) -> np.ndarray:

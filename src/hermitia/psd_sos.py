@@ -125,12 +125,11 @@ def hsos_test(h: core.HermitianTensor, tols: core.Tolerances = core.TOL) -> Hsos
     """
     m = flatten.hermitian_flatten(h).mat
     sd = linalg.herm_eig(m)
-    wmin = float(sd.eigenvalues[0])
-    scale = float(np.linalg.norm(m))
-    if wmin >= -tols.eigTol * max(scale, 1.0):
+    if sd.is_psd(tols.eigTol):
         cert = GramCertificate(h.dims, hol_basis(h.dims), m.copy(), 0.0)
         return HsosResult(True, certificate=cert)
-    return HsosResult(False, negative_eigenvalue=wmin, eigenvector=sd.eigenvectors[:, 0].copy())
+    return HsosResult(False, negative_eigenvalue=float(sd.eigenvalues[0]),
+                      eigenvector=sd.eigenvectors[:, 0].copy())
 
 
 def csos_basis(dims) -> tuple[tuple[int, ...], ...]:
@@ -322,10 +321,8 @@ def multiplier_hsos_test(
 
     sd = linalg.herm_eig(w)
     wmin = float(sd.eigenvalues[0])
-    scale = max(1.0, float(np.linalg.norm(w)))
-    if wmin >= -tols.eigTol * scale:
-        cert = GramCertificate(dims, basis, w, 0.0)
-        return OmegaResult("MEMBER", powers, cert, wmin)
+    if sd.is_psd(tols.eigTol):
+        return OmegaResult("MEMBER", powers, GramCertificate(dims, basis, w, 0.0), wmin)
     return OmegaResult("UNKNOWN", powers, None, wmin)
 
 

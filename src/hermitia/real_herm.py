@@ -110,15 +110,7 @@ def _decompose_recursive(arr: np.ndarray, dims: tuple[int, ...]):
     m = len(dims)
     if m == 1:
         sd = linalg.herm_eig(arr.astype(np.complex128))
-        top = float(np.abs(sd.eigenvalues).max())
-        if top == 0.0:
-            return []
-        keep = np.abs(sd.eigenvalues) > 1e-12 * top
-        return [
-            (float(w), [sd.eigenvectors[:, i].real.astype(np.complex128)])
-            for i, w in enumerate(sd.eigenvalues)
-            if keep[i]
-        ]
+        return [(w, [v.real.astype(np.complex128)]) for w, v in sd.kept(1e-12)]
     nm = dims[-1]
     terms = []
     for s in range(nm):

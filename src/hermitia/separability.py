@@ -107,9 +107,9 @@ def psd_kron_verify(
 
 def psd_kron_to_decomposition(pk: PsdKronDecomp, tols: core.Tolerances = core.TOL) -> HermitianDecomposition:
     """Spectral split of every block into a positive decomposition
-    (eigenvalues within ``eigTol`` of zero are dropped).  A block must be
-    Hermitian within ``symTol`` (else ``SymmetryViolation``); its Hermitian
-    part is split."""
+    (eigenvalues at most ``eigTol`` times the block's largest are dropped).
+    A block must be Hermitian within ``symTol`` (else ``SymmetryViolation``);
+    its Hermitian part is split."""
     terms = []
     for blocks in pk.terms:
         per_mode = []
@@ -118,15 +118,9 @@ def psd_kron_to_decomposition(pk: PsdKronDecomp, tols: core.Tolerances = core.TO
             if dev > tols.symTol:
                 raise SymmetryViolation(f"block is not Hermitian: deviation {dev:.3e} > {tols.symTol:.1e}")
             sd = linalg.herm_eig((b + b.conj().T) / 2.0)
-            scale = max(1.0, float(np.abs(sd.eigenvalues).max()))
-            if sd.eigenvalues[0] < -tols.eigTol * scale:
+            if not sd.is_psd(tols.eigTol):
                 raise BlockNotPsd(f"block has eigenvalue {sd.eigenvalues[0]:.3e}")
-            pairs = [
-                (float(w), linalg.phase_normalize(sd.eigenvectors[:, i]))
-                for i, w in enumerate(sd.eigenvalues)
-                if w > tols.eigTol * scale
-            ]
-            per_mode.append(pairs)
+            per_mode.append([(w, linalg.phase_normalize(v)) for w, v in sd.kept(tols.eigTol)])
         for combo in itertools.product(*per_mode):
             terms.append((math.prod(w for w, _ in combo), tuple(v for _, v in combo)))
     return HermitianDecomposition(pk.dims, tuple(terms))
@@ -191,7 +185,7 @@ def _budget_search(a, seeds, iters, starts, tols):
     ``separable_search`` gives on that budget alone.
     """
     anorm = core.norm(a)
-    if anorm <= 1e-14:
+    if anorm == 0.0:
         return {min(seeds): SepVerdict("SEPARABLE_CERTIFIED", decomposition=HermitianDecomposition(a.dims, ()),
                                        note="zero tensor: empty positive decomposition")}
     mrank = linalg.matrix_rank(a.mat, tols.rankTol)

@@ -229,14 +229,11 @@ def orthogonal_decompose(h: core.HermitianTensor, tols: core.Tolerances = core.T
     carries its best rank-1 relative residual, rank-1 within ``r1Tol``.
     """
     sd = linalg.herm_eig(flatten.hermitian_flatten(h).mat)
-    top = float(np.abs(sd.eigenvalues).max()) if sd.eigenvalues.size else 0.0
     terms = []
-    for i, w in enumerate(sd.eigenvalues):
-        if top == 0.0 or abs(w) <= tols.rankTol * top:
-            continue
-        u = sd.eigenvectors[:, i].reshape(h.dims)
+    for w, v in sd.kept(tols.rankTol):
+        u = v.reshape(h.dims)
         _, res = linalg.rank1_factor(u)
-        terms.append(OrthoTerm(float(w), u.copy(), res, res <= tols.r1Tol))
+        terms.append(OrthoTerm(w, u, res, res <= tols.r1Tol))
     return OrthoDecomp(h.dims, tuple(terms))
 
 
@@ -262,15 +259,10 @@ def unitary_decomposable(h: core.HermitianTensor, tols: core.Tolerances = core.T
     od = orthogonal_decompose(h, tols)
     if not od.terms:
         return UnitaryReport("YES", HermitianDecomposition(h.dims, ()))
-    vals = [t.value for t in od.terms]
-    top = max(abs(v) for v in vals)
-    for i in range(len(vals)):
-        for j in range(i + 1, len(vals)):
-            if abs(vals[i] - vals[j]) <= tols.eigGapTol * top:
-                return UnitaryReport(
-                    "INCONCLUSIVE",
-                    note="repeated nonzero eigenvalues: spectral decomposition not unique",
-                )
+    vals = np.array([t.value for t in od.terms])  # ascending
+    if np.any(np.diff(vals) <= tols.eigGapTol * np.abs(vals).max()):
+        return UnitaryReport("INCONCLUSIVE",
+                             note="repeated nonzero eigenvalues: spectral decomposition not unique")
     for term in od.terms:
         if not term.unit_rank1:
             return UnitaryReport("NO", witness=term,

@@ -112,6 +112,14 @@ def test_hsos_exit_codes(e1122_file, tmp_path):
     assert run(["hsos", str(ident)]) == 0
 
 
+def test_hsos_refutes_a_tiny_indefinite_file(tmp_path):
+    # the CI install-smoke file: 1111 = 1e-12, 1212 = -1e-12 is not psd
+    path = tmp_path / "tiny.hten"
+    path.write_text("HTEN 1\ndims 2 2\n1 1 1 1 1e-12 0\n1 2 1 2 -1e-12 0\n")
+    assert run(["hsos", str(path)]) == 1
+    assert run(["psd", str(path)]) != 0
+
+
 def test_basis_decompose_writes_hdec(tmp_path, capsys):
     out = tmp_path / "d.hdec"
     code = run(["basis-decompose", "--dims", "4,4", "--I", "1,2", "--J", "3,4",
@@ -235,6 +243,33 @@ def test_bad_flag_values_exit_64(argv, tmp_path, capsys):
     hio.save_hten(h, core.random_hermitian((2, 2), 1))
     assert run([a.format(h=h, out=out) for a in argv]) == 64
     assert capsys.readouterr().err.startswith("usage error:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1"])
+def test_tol_values_must_be_finite_and_nonnegative(value, tmp_path, capsys):
+    # NaN fails every comparison (eigTol=nan refuted the identity's HSOS,
+    # symTol=nan admitted any file); infinite or negative values flip verdicts
+    path = tmp_path / "id.hten"
+    hio.save_hten(path, core.identity_tensor((2, 2)))
+    assert run(["--tol", f"eigTol={value}", "hsos", str(path)]) == 64
+    assert run(["hsos", str(path), "--tol", f"symTol={value}"]) == 64
+    assert capsys.readouterr().err.count("usage error:") == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["eig", "{h}"],
+    ["psd", "{h}"],
+    ["jennrich", "{h}", "--rmax", "1"],
+    ["random", "--dims", "2,2", "--out", "{out}"],
+], ids=["eig", "psd", "jennrich", "random"])
+def test_negative_seed_exits_64(argv, tmp_path, capsys):
+    h, out = tmp_path / "h.hten", tmp_path / "x.hten"
+    hio.save_hten(h, core.random_hermitian((2, 2), 1))
+    argv = [a.format(h=h, out=out) for a in argv]
+    assert run(["--seed", "-1", *argv]) == 64
+    assert run([*argv, "--seed", "-1"]) == 64
+    assert capsys.readouterr().err.count("usage error:") == 2
     assert not out.exists()
 
 

@@ -152,6 +152,32 @@ def test_phase_normalize_rows_match_vector_calls(rng):
         assert out[i, pivot].real > 0 and abs(out[i, pivot].imag) < 1e-15
 
 
+class TestSpectralScale:
+    def test_top_is_largest_magnitude(self):
+        assert linalg.herm_eig(np.diag([-3.0, 1.0, 2.0])).top == 3.0
+
+    @pytest.mark.parametrize("s", [1.0, 1e-12, 1e-100])
+    def test_is_psd_is_relative_to_top(self, s):
+        sd = linalg.herm_eig(np.diag([-1e-11, 1.0]) * s)
+        assert sd.is_psd(1e-10)
+        assert not sd.is_psd(1e-12)
+
+    @pytest.mark.parametrize("s", [1.0, 1e-20])
+    def test_kept_pairs_ascending_above_the_cutoff(self, s, rng):
+        u = random_unitary(rng, 3)
+        sd = linalg.herm_eig(u @ np.diag([-3.0, 1.0, 2.0]) @ u.conj().T * s)
+        kept = sd.kept(0.5)
+        assert [w / s for w, _ in kept] == pytest.approx([-3.0, 2.0])
+        for (_, v), col in zip(kept, (0, 2)):
+            assert abs(abs(np.vdot(v, u[:, col])) - 1.0) < 1e-12
+
+    def test_zero_matrix_is_psd_with_nothing_kept(self):
+        sd = linalg.herm_eig(np.zeros((3, 3)))
+        assert sd.top == 0.0
+        assert sd.is_psd(0.0)
+        assert sd.kept(0.0) == []
+
+
 class TestMatrixRank:
     def test_zero(self):
         assert linalg.matrix_rank(np.zeros((3, 3))) == 0
