@@ -15,7 +15,8 @@ tuple comparison.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -44,6 +45,14 @@ class Tolerances:
     gramTol: float = 1e-7  # CSOS coefficient mismatch
     witTol: float = 1e-9  # a witness value must lie below -witTol
     sepTol: float = 1e-7  # positive decomposition residual, relative to the norm
+
+    def __post_init__(self):
+        # NaN fails every comparison and a negative or infinite value flips
+        # verdicts, so each field must be a finite number >= 0
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"tolerance {f.name} must be finite and >= 0, got {value!r}")
 
 
 TOL = Tolerances()

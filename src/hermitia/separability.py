@@ -9,6 +9,8 @@ that A is entangled.  Verification routes:
 * an explicit positive decomposition re-assembled within tolerance;
 * a Kronecker form of the flattening with psd blocks, spectrally split
   into a positive decomposition;
+* for shape [2,2], Wootters' closed form, which decides separability of
+  a psd tensor exactly (concurrence 0);
 * an alternating least-squares search for positive rank-1 terms
   (a heuristic: UNKNOWN on failure, never a refutation).
 
@@ -26,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import core, flatten, linalg, psd_sos, real_herm, spectral
-from .decomposition import HermitianDecomposition, residual
+from .decomposition import HermitianDecomposition, normalize, residual
 from .errors import BlockNotPsd, NotRealDecomposable, RealityViolation, ShapeMismatch, SymmetryViolation
 
 SEARCH_STARTS = 8
@@ -292,6 +294,70 @@ def realify_decomposition(d: HermitianDecomposition) -> HermitianDecomposition:
     return HermitianDecomposition(d.dims, tuple(terms))
 
 
+# sigma_y (x) sigma_y: z^T S z = -2 det(z as a 2x2 matrix), which is 0
+# exactly when z is a product a (x) b
+_SPIN_FLIP = np.fliplr(np.diag([-1.0, 1.0, 1.0, -1.0]))
+_HADAMARD = np.array([[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]]) / 2.0
+
+
+def _apex(p: complex, q: complex, l1: float, l2: float) -> complex:
+    """The point r left of p -> q with |r - p| = l1 and |q - r| = l2 (the
+    height is clipped at 0 when no such triangle exists)."""
+    d = abs(q - p)
+    if d == 0.0:
+        return p + l1
+    x = (d * d + l1 * l1 - l2 * l2) / (2.0 * d)
+    # the height from Heron's product, not from l1^2 - x^2: a side of
+    # length 0 makes the product <= 0 exactly, so a flat triangle stays flat
+    h = (l1 + l2 - d) * (d + l2 - l1) * (d + l1 - l2) * (d + l1 + l2)
+    return p + (q - p) / d * complex(x, math.sqrt(max(h, 0.0)) / (2.0 * d))
+
+
+def _closing_phases(s) -> np.ndarray:
+    """Phases t with sum_j s_j e^{i t_j} = 0 for lengths s_0 >= ... >= s_3
+    >= 0: the side directions of a closed quadrilateral 0 -> s_0 -> r1 ->
+    r2 -> 0.  It exists iff s_0 <= s_1 + s_2 + s_3; beyond that the sides
+    come out with the wrong lengths."""
+    # |r1| may be any length in [s_2 - s_3, s_2 + s_3]; one in
+    # [s_0 - s_1, s_0 + s_1] makes the triangle 0, s_0, r1 close as well
+    c = min(max(s[0] - s[1], s[2] - s[3]), s[2] + s[3])
+    r1 = _apex(s[0], 0.0, s[1], c)
+    r2 = _apex(r1, 0.0, s[2], s[3])
+    return np.angle(np.diff([0.0, s[0], r1, r2, 0.0]))
+
+
+def _wootters(a: core.HermitianTensor, tols: core.Tolerances) -> HermitianDecomposition:
+    """Wootters' product decomposition of a psd [2,2] tensor (Wootters,
+    PRL 80, 2245, 1998): at most 4 product terms, which reassemble a iff
+    its concurrence is 0, i.e. iff a is separable.
+
+    With a = V V*, the Takagi factorization tau = V^T S V = U Sigma U^T
+    gives columns y_j of Y = V conj(U) with Y Y* = a and y_i^T S y_j =
+    sigma_j delta_ij.  Rotated by phases that close the polygon
+    sum sigma_j e^{i t_j} = 0, every Hadamard combination of them has
+    z^T S z = 0, hence is a product.
+    """
+    kept = linalg.herm_eig(a.mat).kept(tols.eigTol)
+    if not kept:
+        return HermitianDecomposition(a.dims, ())
+    v = np.column_stack([math.sqrt(w) * x for w, x in kept])
+    k = v.shape[1]
+    tau = v.T @ _SPIN_FLIP @ v
+    # an eigenpair (s > 0, [p; q]) of this real symmetric matrix gives
+    # tau conj(u) = s u for u = p + iq, and those u are orthonormal; QR
+    # completes them to a unitary whose extra columns have Takagi value 0
+    sd = linalg.herm_eig(np.block([[tau.real, tau.imag], [tau.imag, -tau.real]]))
+    us = [e[:k] + 1j * e[k:] for s, e in sd.kept(tols.rankTol) if s > 0]
+    u = np.linalg.qr(np.column_stack(us + [np.eye(k)]))[0]
+    y = np.pad(v @ u.conj(), ((0, 0), (0, 4 - k)))
+    d = np.einsum("pj,pq,qj->j", y, _SPIN_FLIP, y)  # sigma_j up to the phases QR chose
+    order = np.argsort(-np.abs(d))
+    t = _closing_phases(np.abs(d[order]))
+    x = y[:, order] * np.exp(0.5j * (t - np.angle(d[order])))
+    terms = [(1.0, tuple(linalg.rank1_factor(z.reshape(2, 2))[0])) for z in (x @ _HADAMARD).T]
+    return normalize(HermitianDecomposition(a.dims, tuple(terms)))
+
+
 def separability_pipeline(
     a: core.HermitianTensor,
     field_name: str = "COMPLEX",
@@ -300,17 +366,23 @@ def separability_pipeline(
     iters: int = 200,
     tols: core.Tolerances = core.TOL,
 ) -> SepVerdict:
-    """Necessary checks, then a positive-decomposition search.
+    """Necessary checks, then a positive decomposition: in closed form on
+    [2,2], else by search.
 
     (1) Separable tensors have psd flattenings; a negative flattening
     eigenvector q yields the auto-witness unflatten(q q*), which always
     carries its own psd certificate.  (2) Real separability additionally
-    requires real decomposability.  (3) Alternating search at rank
-    budgets 1..effort, all run in lock-step; a budget stops once a smaller
-    one has a fitted start, and the smallest budget that certifies wins.
-    For the REAL field its complex certificate is split into real and
-    imaginary parts; if the split fails the ``sepTol`` check, the answer
-    is UNKNOWN.
+    requires real decomposability.  (3) On shape [2,2], Wootters' closed
+    form: a psd tensor of concurrence 0 gets at most 4 product terms,
+    and is certified when they pass ``verify_positive_decomposition``
+    (for REAL, after the split into real and imaginary parts).  A [2,2]
+    tensor of positive concurrence is entangled, but no dual certificate
+    is produced; it goes on to the search.  (4) Alternating search at
+    rank budgets 1..effort, all run in lock-step; a budget stops once a
+    smaller one has a fitted start, and the smallest budget that
+    certifies wins.  For the REAL field its complex certificate is split
+    into real and imaginary parts; if the split fails the ``sepTol``
+    check, the answer is UNKNOWN.
     """
     if field_name not in ("COMPLEX", "REAL"):
         raise ShapeMismatch(f"unknown field {field_name!r}")
@@ -337,6 +409,13 @@ def separability_pipeline(
                 note=f"not real-Hermitian decomposable ({exc}); "
                      "hence not R-separable, but no dual certificate is produced",
             )
+    if a.dims == (2, 2):
+        d = _wootters(a, tols)
+        if field_name == "REAL":
+            d = realify_decomposition(d)
+        if verify_positive_decomposition(d, a, field_name, tols):
+            return SepVerdict("SEPARABLE_CERTIFIED", field_name, decomposition=d,
+                              note=f"concurrence 0: Wootters' closed form, {len(d)} product terms")
     seeds = {r: seed + r for r in range(1, max(1, effort) + 1)}
     for r, found in _budget_search(a, seeds, iters, SEARCH_STARTS, tols).items():
         if found.status != "SEPARABLE_CERTIFIED":

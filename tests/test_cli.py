@@ -200,6 +200,19 @@ def test_sep_pipeline_writes_sepv(tmp_path, capsys):
     assert out.read_text().startswith("SEPV 1\nstatus SEPARABLE_CERTIFIED")
 
 
+def test_sep_pipeline_certifies_near_collinear_2x2_in_closed_form(tmp_path, capsys):
+    # two product terms whose mode vectors are 0.29 rad apart: the rank-budget
+    # search ends UNKNOWN on this file, Wootters' construction certifies it
+    path = tmp_path / "close.hten"
+    path.write_text("HTEN 1\ndims 2 2\n1 1 1 1 2 0\n1 1 1 2 0.3 0\n1 1 2 1 0.3 0\n1 1 2 2 0.09 0\n"
+                    "1 2 1 2 0.09 0\n1 2 2 1 0.09 0\n1 2 2 2 0.027 0\n2 1 2 1 0.09 0\n"
+                    "2 1 2 2 0.027 0\n2 2 2 2 0.0081 0\n")
+    out = tmp_path / "c.sepv"
+    assert run(["sep-pipeline", str(path), "--out", str(out)]) == 0
+    assert out.read_text().startswith("SEPV 1\nstatus SEPARABLE_CERTIFIED")
+    assert "concurrence 0" in capsys.readouterr().out
+
+
 def test_unitary_check_inconclusive(tmp_path):
     path = tmp_path / "id.hten"
     hio.save_hten(path, core.identity_tensor((2, 2)))

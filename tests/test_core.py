@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -325,3 +327,23 @@ def test_degenerate_mode_sizes(rng):
         out = decomposition.jennrich_decompose(r1, 1, seed=0)
         assert isinstance(out, decomposition.HermitianDecomposition)
         assert decomposition.residual(out, r1) <= 1e-10
+
+
+class TestTolerances:
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(core.Tolerances)])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), -1e-12])
+    def test_rejects_non_finite_and_negative_fields(self, name, value):
+        with pytest.raises(ValueError, match=f"tolerance {name} must be finite and >= 0"):
+            core.Tolerances(**{name: value})
+        with pytest.raises(ValueError):
+            dataclasses.replace(core.TOL, **{name: value})
+
+    def test_nan_sym_tol_no_longer_admits_a_non_hermitian_matrix(self):
+        with pytest.raises(ValueError):
+            core.validate((2,), [[1, 1], [0, 1]], core.Tolerances(symTol=float("nan")))
+        with pytest.raises(SymmetryViolation):
+            core.validate((2,), [[1, 1], [0, 1]], core.Tolerances(symTol=0.5))
+
+    def test_zero_and_default_fields_are_valid(self):
+        assert core.Tolerances(**{f.name: 0.0 for f in dataclasses.fields(core.Tolerances)})
+        assert core.TOL == core.Tolerances()

@@ -4,7 +4,7 @@ import pytest
 from hermitia import core, decomposition as dec, flatten, separability as sep
 from hermitia.errors import BlockNotPsd, NonRealInner, ShapeMismatch, SymmetryViolation
 
-from conftest import hankel_tensor, hankel_witness, random_unit, separable_62_matrix
+from conftest import hankel_tensor, hankel_witness, random_unit, random_unitary, separable_62_matrix
 
 
 def pk_62() -> sep.PsdKronDecomp:
@@ -197,15 +197,16 @@ def assert_same_verdict(got, want, tol=1e-8):
             assert np.abs(u - v).max() <= tol
 
 
+def separable_23(rng, r=2, real=False) -> core.HermitianTensor:
+    """r positive product terms on [2,3], where the pipeline still searches."""
+    terms = tuple((1.0 + k, (random_unit(rng, 2, real), random_unit(rng, 3, real))) for k in range(r))
+    return dec.assemble(dec.HermitianDecomposition((2, 3), terms))
+
+
 class TestBudgetLockstep:
     """The pipeline runs its rank budgets in lock-step; every budget it
     gets back must give what separable_search gives on it alone, and the
     budgets above the smallest fitted one stop."""
-
-    @staticmethod
-    def rank2_23(rng):
-        terms = tuple((1.0 + k, (random_unit(rng, 2), random_unit(rng, 3))) for k in range(2))
-        return dec.assemble(dec.HermitianDecomposition((2, 3), terms))
 
     def test_budgets_do_not_couple(self):
         # entangled: no budget fits, so every budget runs to the end
@@ -220,7 +221,7 @@ class TestBudgetLockstep:
             assert got[r].note == want.note
 
     def test_larger_budgets_stop_at_a_fit(self, rng, monkeypatch):
-        a = self.rank2_23(rng)
+        a = separable_23(rng)
         seeds = {1: 6, 2: 7, 3: 8, 4: 9}
         eig_rows, herm_eig = [], sep.linalg.herm_eig
         monkeypatch.setattr(sep.linalg, "herm_eig", lambda m: eig_rows.append(len(m)) or herm_eig(m))
@@ -242,7 +243,7 @@ class TestBudgetLockstep:
             assert v.note == want.note
 
     def test_pipeline_matches_budget_by_budget(self, rng):
-        for a in (tensor_62(), self.rank2_23(rng)):
+        for a in (separable_23(rng, 3), separable_23(rng)):
             got = sep.separability_pipeline(a, "COMPLEX", effort=4, seed=3)
             r, want = next((r, v) for r in range(1, 5)
                            for v in [sep.separable_search(a, r, seed=3 + r)]
@@ -303,14 +304,103 @@ class TestPipeline:
         assert sep.verify_positive_decomposition(r, a, "REAL")
 
 
+def separable_22(rng, r, real=False) -> core.HermitianTensor:
+    terms = tuple((rng.uniform(0.5, 1.5), (random_unit(rng, 2, real), random_unit(rng, 2, real)))
+                  for _ in range(r))
+    return dec.assemble(dec.HermitianDecomposition((2, 2), terms))
+
+
+def bell_mixture(p) -> core.HermitianTensor:
+    """p |Bell><Bell| + (1 - p) I / 4, separable iff p <= 1/3."""
+    bell = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
+    return core.HermitianTensor((2, 2), p * np.outer(bell, bell) + (1.0 - p) * np.eye(4) / 4.0)
+
+
+class TestWootters:
+    """[2,2] is decided in closed form when the concurrence is 0; every
+    other psd [2,2] input goes on to the search."""
+
+    @staticmethod
+    def assert_closed_form(a, field_name="COMPLEX"):
+        res = sep.separability_pipeline(a, field_name, effort=4, seed=0)
+        assert (res.status, res.field) == ("SEPARABLE_CERTIFIED", field_name)
+        assert res.note.startswith("concurrence 0: Wootters' closed form")
+        d = res.decomposition
+        assert len(d) <= (16 if field_name == "REAL" else 4)
+        for lam, vs in d.terms:
+            assert lam > 0 and len(vs) == 2
+            if field_name == "REAL":
+                assert all(np.all(v.imag == 0) for v in vs)
+        # rounding-level, far inside sepTol: closing the polygon by angles
+        # (arccos near -1) instead of coordinates left about 3e-9 here
+        assert dec.residual(d, a) <= 1e-11 * core.norm(a)
+        assert sep.verify_positive_decomposition(d, a, field_name)
+
+    @pytest.mark.parametrize("real", [False, True])
+    @pytest.mark.parametrize("r", [1, 2, 3, 4, 6])
+    def test_random_separable(self, rng, r, real):
+        for _ in range(5):
+            a = separable_22(rng, r, real)
+            self.assert_closed_form(a)
+            if real:
+                self.assert_closed_form(a, "REAL")
+
+    def test_identity_all_eigenvalues_equal(self):
+        self.assert_closed_form(core.identity_tensor((2, 2)))
+        self.assert_closed_form(core.identity_tensor((2, 2)), "REAL")
+
+    @pytest.mark.parametrize("s", [1e-12, 1.0, 1e12])
+    def test_scale_and_local_unitary_frame(self, rng, s):
+        for r in (1, 2, 4):
+            a = separable_22(rng, r)
+            frame = [random_unitary(rng, 2), random_unitary(rng, 2)]
+            self.assert_closed_form(core.HermitianTensor((2, 2), a.mat * s))
+            self.assert_closed_form(core.congruent(frame, core.HermitianTensor((2, 2), a.mat * s)))
+
+    def test_near_collinear_terms(self):
+        # two product terms 0.3 rad apart in both modes: the search alone
+        # ends UNKNOWN on such inputs
+        z = np.kron([1.0, 0.3], [1.0, 0.3])
+        a = core.HermitianTensor((2, 2), np.diag([1.0, 0.0, 0.0, 0.0]) + np.outer(z, z))
+        self.assert_closed_form(a)
+
+    def test_concurrence_boundary(self):
+        self.assert_closed_form(bell_mixture(1 / 3))
+        d = sep._wootters(bell_mixture(1 / 3 + 1e-6), core.TOL)
+        assert not sep.verify_positive_decomposition(d, bell_mixture(1 / 3 + 1e-6))
+
+    def test_entangled_psd_goes_on_to_the_search(self):
+        res = sep.separability_pipeline(bell_mixture(0.5), "COMPLEX", effort=4, seed=0)
+        assert (res.status, res.decomposition) == ("UNKNOWN", None)
+        assert res.note == "search exhausted rank budgets 1..4"
+
+    def test_non_psd_input_gets_the_auto_witness_first(self, monkeypatch):
+        monkeypatch.setattr(sep, "_wootters", lambda *args: pytest.fail("closed form on a non-psd input"))
+        res = sep.separability_pipeline(hankel_tensor(), "COMPLEX", effort=4, seed=0)
+        assert res.status == "ENTANGLED_WITNESS"
+        assert sep.dual_witness_check(hankel_tensor(), res.witness).status == "ENTANGLED_WITNESS"
+
+    def test_zero_tensor(self):
+        res = sep.separability_pipeline(core.zero_tensor((2, 2)))
+        assert res.status == "SEPARABLE_CERTIFIED" and len(res.decomposition) == 0
+
+    @pytest.mark.parametrize("s", [(1, 1, 0, 0), (1, 1, 1, 1), (3, 1, 1, 1), (2, 1, 1, 0), (0, 0, 0, 0),
+                                   (1, 1 - 1e-15, 0, 0), (5, 4, 3, 2)])
+    def test_closing_phases(self, s):
+        s = np.array(s, dtype=float)
+        t = sep._closing_phases(s)
+        assert abs(np.sum(s * np.exp(1j * t))) <= 1e-14 * max(s.max(), 1.0)
+
+
 def test_real_transfer_failure_is_unknown(monkeypatch):
     # the smallest certified budget is the only one tried: larger budgets
     # stopped at its fit
-    want = sep.separability_pipeline(tensor_62(), "COMPLEX", effort=4, seed=0)
+    a = separable_23(np.random.default_rng(0), 3, real=True)
+    want = sep.separability_pipeline(a, "COMPLEX", effort=4, seed=0)
     r = int(want.note.rsplit("=", 1)[1])
     split = []
     monkeypatch.setattr(sep, "realify_decomposition", lambda d: split.append(d) or d)
-    got = sep.separability_pipeline(tensor_62(), "REAL", effort=4, seed=0)
+    got = sep.separability_pipeline(a, "REAL", effort=4, seed=0)
     assert (got.status, got.field, got.decomposition) == ("UNKNOWN", "REAL", None)
     assert got.note == f"complex certificate at r={r} does not transfer to the real field"
     assert len(split) == 1
