@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -31,20 +31,23 @@ from .errors import (
 @dataclass(frozen=True)
 class Tolerances:
     """The named numerical thresholds, one field per ``--tol`` name; pass
-    ``dataclasses.replace(TOL, eigTol=1e-9)`` as ``tols`` to override one."""
+    ``dataclasses.replace(TOL, eigTol=1e-9)`` as ``tols`` to override one.
+    Each is relative, so no verdict depends on the unit of the input: to
+    ``norm(h)`` on a tensor quantity, to the matrix's own largest |eigenvalue|
+    on a spectrum."""
 
-    symTol: float = 1e-9  # conjugate and entry symmetry, absolute
+    symTol: float = 1e-9  # conjugate and entry symmetry, times the norm
     eigTol: float = 1e-10  # psd tests: least eigenvalue >= -eigTol * largest |eigenvalue|
     rankTol: float = 1e-8  # matrix rank: singular values above rankTol * largest
-    cpTol: float = 1e-7  # Jennrich residual, relative to the norm
-    rdTol: float = 1e-8  # real decomposition residual, relative to the norm
-    nfTol: float = 1e-8  # [2,2] normal form reconstruction, relative
-    eigTupleTol: float = 1e-8  # eigentuple stationarity residual
-    eigGapTol: float = 1e-6  # nonzero eigenvalues closer than this (relative) repeat
+    cpTol: float = 1e-7  # Jennrich residual, times the norm
+    rdTol: float = 1e-8  # real decomposition residual, times the norm
+    nfTol: float = 1e-8  # [2,2] normal form reconstruction, times its largest entry
+    eigTupleTol: float = 1e-8  # eigentuple stationarity residual, times the norm
+    eigGapTol: float = 1e-6  # nonzero eigenvalues closer than this times the largest repeat
     r1Tol: float = 1e-7  # rank-1 residual of a unit eigentensor
-    gramTol: float = 1e-7  # CSOS coefficient mismatch
-    witTol: float = 1e-9  # a witness value must lie below -witTol
-    sepTol: float = 1e-7  # positive decomposition residual, relative to the norm
+    gramTol: float = 1e-7  # CSOS coefficient mismatch, times the norm
+    witTol: float = 1e-9  # a witness value must lie below -witTol times the norm (of both, for <a, b>)
+    sepTol: float = 1e-7  # positive decomposition residual, times the norm
 
     def __post_init__(self):
         # NaN fails every comparison and a negative or infinite value flips
@@ -150,18 +153,19 @@ def _coerce_entries(dims, raw) -> np.ndarray:
 def validate(dims, raw, tols: Tolerances = TOL) -> HermitianTensor:
     """Build a Hermitian tensor from raw entries.
 
-    Conjugate symmetry must hold within ``symTol`` (absolute, entrywise);
-    the result averages H[I, J] with conj(H[J, I]), which also zeroes
-    imaginary parts on the diagonal.
+    Conjugate symmetry must hold entrywise within ``symTol`` times the
+    norm of the entries; the result averages H[I, J] with conj(H[J, I]),
+    which also zeroes imaginary parts on the diagonal.
     """
     dims = check_dims(dims)
     arr = _coerce_entries(dims, raw)
     if not (np.all(np.isfinite(arr.real)) and np.all(np.isfinite(arr.imag))):
         raise ShapeMismatch("entries must be finite (no NaN/Inf)")
     dev = np.max(np.abs(arr - arr.conj().T)) if arr.size else 0.0
-    if dev > tols.symTol:
+    bound = tols.symTol * float(np.linalg.norm(arr))
+    if dev > bound:
         raise SymmetryViolation(
-            f"conjugate symmetry violated: max |H[I,J] - conj(H[J,I])| = {dev:.3e} > {tols.symTol:.1e}"
+            f"conjugate symmetry violated: max |H[I,J] - conj(H[J,I])| = {dev:.3e} > {bound:.1e}"
         )
     return HermitianTensor(dims, (arr + arr.conj().T) / 2.0)
 
@@ -221,11 +225,11 @@ def rank1(lam: float, vectors, dims=None) -> HermitianTensor:
 
 def inner(a: HermitianTensor, b: HermitianTensor, tols: Tolerances = TOL) -> float:
     """Real inner product sum_{I,J} a[I,J] * conj(b[I,J]); an imaginary
-    residue above ``symTol`` * max(1, ||a|| ||b||) raises ``NonRealInner``."""
+    residue above ``symTol`` * ||a|| ||b|| raises ``NonRealInner``."""
     if a.dims != b.dims:
         raise ShapeMismatch(f"shapes differ: {a.dims} vs {b.dims}")
     val = complex(np.vdot(b.mat, a.mat))
-    bound = tols.symTol * max(1.0, norm(a) * norm(b))
+    bound = tols.symTol * norm(a) * norm(b)
     if abs(val.imag) > bound:
         raise NonRealInner(f"imaginary residue {val.imag:.3e} exceeds {bound:.1e}")
     return float(val.real)
@@ -277,9 +281,7 @@ def congruent(qs, a: HermitianTensor, tols: Tolerances = TOL) -> HermitianTensor
     for q, n in zip(qs, a.dims):
         if q.shape != (n, n):
             raise ShapeMismatch(f"congruence matrix has shape {q.shape}, expected {(n, n)}")
-    out = matmul(qs + [q.conj() for q in qs], a.as_array())
-    sym_tol = max(tols.symTol, 1e-12 * (1.0 + float(np.abs(out).max())))
-    return validate(a.dims, out, replace(tols, symTol=sym_tol))
+    return validate(a.dims, matmul(qs + [q.conj() for q in qs], a.as_array()), tols)
 
 
 def basis_tensor(I, J, c, dims) -> HermitianTensor:

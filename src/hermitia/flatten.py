@@ -82,14 +82,14 @@ def _as_m_matrix(mat) -> np.ndarray:
 
 def hermitian_unflatten(mat, dims, tols: core.Tolerances = core.TOL) -> core.HermitianTensor:
     """Inverse of the Hermitian flattening of a matrix Hermitian within
-    ``symTol``; entries are kept bit-for-bit."""
+    ``symTol`` times its norm; entries are kept bit-for-bit."""
     dims = core.check_dims(dims)
     n = core.size_of(dims)
     arr = _as_m_matrix(mat)
     if arr.shape != (n, n):
         raise ShapeMismatch(f"matrix has shape {arr.shape}, expected {(n, n)} for {dims}")
     dev = float(np.abs(arr - arr.conj().T).max()) if arr.size else 0.0
-    if dev > tols.symTol:
+    if dev > tols.symTol * float(np.linalg.norm(arr)):
         raise SymmetryViolation(f"matrix is not Hermitian: deviation {dev:.3e}")
     return core.HermitianTensor(dims, arr)
 

@@ -50,24 +50,27 @@ def herm_eig(a) -> SpectralDecomp:
     """Full spectral decomposition of a Hermitian matrix, or of a stack
     ``(B, n, n)`` of them solved by one LAPACK ``eigh`` call.
 
-    The input must be Hermitian within 1e-8 * max(1, max|a|) per member;
-    its Hermitian part is solved.  Real symmetric input (for a stack:
-    every member real) is solved as a real problem, so its eigenvectors
-    stay exactly real.  LAPACK gives a zero matrix zero eigenvalues and
-    identity eigenvectors.
+    Each member must be Hermitian within 1e-8 times its own largest
+    |entry|, with no absolute floor; its Hermitian part is solved by
+    ``_eigh``, which matrices Hermitian by construction call directly.
     """
     a = np.asarray(a, dtype=np.complex128)
     if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
         raise SymmetryViolation(f"expected a square matrix or a stack of them, got shape {a.shape}")
-    ah = np.swapaxes(a.conj(), -1, -2)
-    scale = np.abs(a).max(axis=(-2, -1), initial=0.0)
-    dev = np.abs(a - ah).max(axis=(-2, -1), initial=0.0)
-    bad = dev > 1e-8 * np.maximum(1.0, scale)
+    dev = np.abs(a - np.swapaxes(a.conj(), -1, -2)).max(axis=(-2, -1), initial=0.0)
+    bad = dev > 1e-8 * np.abs(a).max(axis=(-2, -1), initial=0.0)
     if bad.any():
         i = int(np.argmax(bad))
         where = f"stack member {i}" if a.ndim == 3 else "matrix"
         raise SymmetryViolation(f"{where} is not Hermitian: deviation {dev.flat[i]:.3e}")
-    a = (a + ah) / 2.0
+    return _eigh(a)
+
+
+def _eigh(a: np.ndarray) -> SpectralDecomp:
+    """``herm_eig`` of the Hermitian part, unchecked.  Real input (for a
+    stack: every member real) is solved as a real problem, so its
+    eigenvectors stay exactly real; a zero matrix gets identity ones."""
+    a = (a + np.swapaxes(a.conj(), -1, -2)) / 2.0
     try:
         w, v = np.linalg.eigh(a if np.any(a.imag) else a.real)
     except np.linalg.LinAlgError as exc:
@@ -102,10 +105,10 @@ def psd_project(a) -> np.ndarray:
 
 def phase_normalize(v: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     """Rotate a vector, or each row of ``(..., n)``, so its first
-    significant entry is real positive."""
+    significant entry (above ``tol`` times the row's largest) is real positive."""
     v = np.asarray(v, dtype=np.complex128)
     mag = np.abs(v)
-    sig = mag > tol * np.maximum(1.0, mag.max(axis=-1, initial=0.0, keepdims=True))
+    sig = mag > tol * mag.max(axis=-1, initial=0.0, keepdims=True)
     pivot = np.take_along_axis(v, sig.argmax(axis=-1)[..., None], axis=-1)
     size = np.abs(pivot)
     rot = np.conj(pivot) / np.where(size > 0.0, size, 1.0)

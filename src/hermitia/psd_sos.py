@@ -243,7 +243,7 @@ def csos_test(
 
     Alternating projections between the psd cone and the affine
     coefficient-matching set; FEASIBLE when a psd iterate matches all
-    coefficients within ``gramTol``.  A stalled distance (checked with
+    coefficients within ``gramTol * norm(h)``.  A stalled distance (checked with
     an averaged-step fallback) yields INFEASIBLE_HINT, which is a
     heuristic only; the iteration cap yields UNKNOWN.
     """
@@ -252,6 +252,7 @@ def csos_test(
     gids = cmap.gram_ids
     sizes = np.bincount(gids, minlength=cmap.ngroups)
     targets = cmap.of_tensor(h)
+    gram_tol = tols.gramTol * core.norm(h)
     K = len(basis)
 
     def affine(w):
@@ -268,7 +269,7 @@ def csos_test(
     for it in range(1, iters + 1):
         p = linalg.psd_project(w)
         res = coeff_residual(p)
-        if res <= tols.gramTol:
+        if res <= gram_tol:
             return CsosResult("FEASIBLE", GramCertificate(h.dims, basis, p, res), it, res)
         wa = affine(p)
         dist = float(np.linalg.norm(wa - p))
@@ -277,7 +278,7 @@ def csos_test(
             w = (wa + p) / 2.0
         else:
             w = wa
-        if len(dist_hist) >= 80 and res > 10.0 * tols.gramTol:
+        if len(dist_hist) >= 80 and res > 10.0 * gram_tol:
             recent, past = dist_hist[-1], dist_hist[-60]
             if past > 0 and recent >= past * (1.0 - 1e-5):
                 if not averaged:
@@ -336,7 +337,7 @@ def psd_verdict(
     """Combined positivity verdict over the requested field.
 
     Order of attack: eigentuple multistart for a strict negativity
-    witness (value below ``-witTol``); the flattening psd test (sufficient
+    witness (value below ``-witTol * norm(h)``); the flattening psd test (sufficient
     over both fields); multiplier memberships with total power up to
     ``effort`` (complex field, transferred to real-decomposable real
     tensors); otherwise UNKNOWN.
@@ -344,7 +345,7 @@ def psd_verdict(
     if field not in ("COMPLEX", "REAL"):
         raise ShapeMismatch(f"unknown field {field!r}")
     search = spectral.herm_eigenpair(h, seed=seed, field=field, tols=tols)
-    if search.tuples and search.tuples[0].value < -tols.witTol:
+    if search.tuples and search.tuples[0].value < -tols.witTol * core.norm(h):
         t = search.tuples[0]
         return PsdVerdict("NOT_PSD_WITNESS", field, witness=t.vectors, witness_value=t.value)
     hs = hsos_test(h, tols)

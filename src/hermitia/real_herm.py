@@ -31,28 +31,29 @@ from .errors import ConstructionFailed, NotRealDecomposable, NotShape22, Reality
 SHIFT_EPS = 1e-6
 
 
-def _real_array(h: core.HermitianTensor, tol: float) -> np.ndarray:
-    dev = float(np.abs(h.mat.imag).max()) if h.mat.size else 0.0
-    if dev > tol:
+def _real_array(h: core.HermitianTensor, tols: core.Tolerances) -> np.ndarray:
+    dev = float(np.abs(h.mat.imag).max())
+    if dev > tols.symTol * core.norm(h):
         raise RealityViolation(f"entries have imaginary parts up to {dev:.3e}")
     return h.mat.real.reshape(h.dims + h.dims)
 
 
 def is_real_decomposable(h: core.HermitianTensor, tols: core.Tolerances = core.TOL):
-    """Entry-symmetry test for real decomposability, at ``symTol``.
+    """Entry-symmetry test for real decomposability, at ``symTol`` times
+    ``norm(h)``.
 
     Returns ``(True, None)`` or ``(False, (I, J, K, L))`` with the first
     two label pairs (lexicographic scan order) that share all unordered
     per-mode pairs {i_s, j_s} = {k_s, l_s} yet carry different entries.
     """
-    arr = _real_array(h, tols.symTol)
+    arr = _real_array(h, tols)
     m = h.order
     # the first member of a group in scan order puts the smaller index of
     # every mode pair in I: compare each entry with that one
     idx = np.ogrid[tuple(slice(n) for n in h.dims + h.dims)]
     lo = [np.minimum(idx[s], idx[m + s]) for s in range(m)]
     hi = [np.maximum(idx[s], idx[m + s]) for s in range(m)]
-    bad = np.abs(arr - arr[tuple(lo + hi)]) > tols.symTol
+    bad = np.abs(arr - arr[tuple(lo + hi)]) > tols.symTol * core.norm(h)
     if not bad.any():
         return True, None
     pos = np.unravel_index(int(np.argmax(bad)), bad.shape)
@@ -78,7 +79,7 @@ def real_decomposable_array(h: core.HermitianTensor, tols: core.Tolerances = cor
     ok, witness = is_real_decomposable(h, tols)
     if not ok:
         raise NotRealDecomposable(_witness_text(witness))
-    arr = _real_array(h, tols.symTol)
+    arr = _real_array(h, tols)
     m = h.order
     for s in range(m):
         arr = (arr + arr.swapaxes(s, m + s)) / 2.0
@@ -181,7 +182,7 @@ def normal_form_22(h: core.HermitianTensor, tols: core.Tolerances = core.TOL) ->
         raise NotShape22(f"expected shape (2, 2), got {h.dims}")
     m = real_decomposable_array(h, tols).reshape(4, 4)
     A, B, C = m[:2, :2], m[2:, 2:], m[:2, 2:]  # the flattening is [[A, C], [C, B]]
-    scale = max(1.0, float(np.abs(h.mat).max()))
+    scale = float(np.abs(h.mat).max())
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
     eye = np.eye(2)
 
@@ -194,30 +195,14 @@ def normal_form_22(h: core.HermitianTensor, tols: core.Tolerances = core.TOL) ->
 
     # choose the end block to normalize: prefer a definite one, otherwise
     # the one with the strongest definite side (better-conditioned shift)
-    def definiteness(x):
-        w, _ = _sym_eig2(x)
-        if w[0] > 1e-10 * scale:
-            return 1
-        if w[1] < -1e-10 * scale:
-            return -1
-        return 0
+    def definite(w):
+        return w[0] > 1e-10 * scale or w[1] < -1e-10 * scale
 
-    def score(x):
-        w, _ = _sym_eig2(x)
-        return max(w[1], -w[0])
-
-    if definiteness(A) != 0:
-        use_b = False
-    elif definiteness(B) != 0:
-        use_b = True
-    else:
-        use_b = score(B) > score(A)
+    (w_a, v_a), (w_b, v_b) = _sym_eig2(A), _sym_eig2(B)
+    use_b = not definite(w_a) and (definite(w_b) or max(w_b[1], -w_b[0]) > max(w_a[1], -w_a[0]))
     p_mat = swap if use_b else eye
-    a_blk = B if use_b else A
-    b_blk = A if use_b else B
+    a_blk, b_blk, wa, va = (B, A, w_b, v_b) if use_b else (A, B, w_a, v_a)
     c_blk = C
-
-    wa, va = _sym_eig2(a_blk)
     if wa[1] < -1e-10 * scale or (wa[1] <= 1e-10 * scale and wa[0] < 0):
         # negative semidefinite target: normalize the negated tensor
         s = -1
@@ -261,7 +246,7 @@ def _check_normal_form(h: core.HermitianTensor, nf: NormalForm22, tols: core.Tol
     got = core.congruent([nf.P.astype(complex), nf.Q.astype(complex)], h, tols).mat.real
     want = _normal_form_matrix(nf)
     dev = float(np.abs(got - want).max())
-    if dev > tols.nfTol * max(1.0, float(np.abs(want).max())):
+    if dev > tols.nfTol * float(np.abs(want).max()):
         raise ConstructionFailed(f"normal form reconstruction off by {dev:.3e}")
 
 

@@ -110,16 +110,16 @@ def psd_kron_verify(
 def psd_kron_to_decomposition(pk: PsdKronDecomp, tols: core.Tolerances = core.TOL) -> HermitianDecomposition:
     """Spectral split of every block into a positive decomposition
     (eigenvalues at most ``eigTol`` times the block's largest are dropped).
-    A block must be Hermitian within ``symTol`` (else ``SymmetryViolation``);
-    its Hermitian part is split."""
+    A block must be Hermitian within ``symTol`` times its norm (else
+    ``SymmetryViolation``); its Hermitian part is split."""
     terms = []
     for blocks in pk.terms:
         per_mode = []
         for b in blocks:
-            dev = float(np.abs(b - b.conj().T).max())
-            if dev > tols.symTol:
-                raise SymmetryViolation(f"block is not Hermitian: deviation {dev:.3e} > {tols.symTol:.1e}")
-            sd = linalg.herm_eig((b + b.conj().T) / 2.0)
+            dev, bound = float(np.abs(b - b.conj().T).max()), tols.symTol * float(np.linalg.norm(b))
+            if dev > bound:
+                raise SymmetryViolation(f"block is not Hermitian: deviation {dev:.3e} > {bound:.1e}")
+            sd = linalg._eigh(b)
             if not sd.is_psd(tols.eigTol):
                 raise BlockNotPsd(f"block has eigenvalue {sd.eigenvalues[0]:.3e}")
             per_mode.append([(w, linalg.phase_normalize(v)) for w, v in sd.kept(tols.eigTol)])
@@ -141,12 +141,13 @@ def dual_witness_check(
     tols: core.Tolerances = core.TOL,
 ) -> DualWitnessResult:
     """Duality refutation: b psd (flattening certificate) and <a, b> < 0
-    (below ``-witTol``) prove a is not separable over either field."""
+    (below ``-witTol * norm(a) * norm(b)``) prove a is not separable over
+    either field."""
     if a.dims != b.dims:
         raise ShapeMismatch(f"shapes differ: {a.dims} vs {b.dims}")
     val = core.inner(a, b, tols)
     hs = psd_sos.hsos_test(b, tols)
-    if hs.is_hsos and val < -tols.witTol:
+    if hs.is_hsos and val < -tols.witTol * core.norm(a) * core.norm(b):
         return DualWitnessResult("ENTANGLED_WITNESS", val, hs.certificate)
     return DualWitnessResult("INCONCLUSIVE", val)
 
@@ -224,7 +225,7 @@ def _budget_search(a, seeds, iters, starts, tols):
             res_arr = (a.mat - core._rank1_sum(others, zs[rows])).reshape((len(rows),) + a.dims * 2)
             for k, n in enumerate(a.dims):
                 mk = spectral._mode_matrices(res_arr, [x[rows, i] for x in xs], k + 1)
-                sd = linalg.herm_eig(mk)
+                sd = linalg._eigh(mk)
                 v = sd.eigenvectors[:, :, -1]
                 for j in np.flatnonzero(sd.eigenvalues[:, -1] <= 0):
                     v[j] = _random_unit(rngs[rb[rows[j]]], n)
@@ -236,7 +237,7 @@ def _budget_search(a, seeds, iters, starts, tols):
         # pinv at the cutoff lstsq(rcond=None) uses on the unpadded system;
         # the zero rows and columns of padded terms are cut and solve to 0
         sol = np.linalg.pinv(gram, rcond=np.finfo(float).eps * rb[act]) @ rhs[:, :, None]
-        lams[act] = np.clip(sol[:, :, 0], 1e-12, None) * live_term[act]
+        lams[act] = np.clip(sol[:, :, 0], 1e-12 * anorm, None) * live_term[act]
         res[act] = np.linalg.norm(a.mat - core._rank1_sum(lams[act], z), axis=(1, 2))
         ok = res[act] <= thresh
         np.minimum.at(first_ok, act[ok] // starts, act[ok] % starts)

@@ -96,7 +96,7 @@ def _extreme_update(mk: np.ndarray, current: np.ndarray, largest: np.ndarray):
     the current vector's projection is kept, so degenerate modes do not
     oscillate between arbitrary eigenvectors.
     """
-    sd = linalg.herm_eig(mk)
+    sd = linalg._eigh(mk)
     w, v = sd.eigenvalues, sd.eigenvectors
     lam = np.where(largest, w[:, -1], w[:, 0])
     gap = (1e-9 * (1.0 + np.abs(lam)))[:, None]
@@ -121,10 +121,13 @@ def _lockstep(h, x0, largest, field, tol, max_sweeps) -> list[EigenTuple]:
     """Block-coordinate sequences advanced together, one per row of
     ``x0[s]`` (B, n_s); row b ascends iff largest[b].
 
-    A sequence leaves the batch once its eigenvalue is stationary and its
-    residuals are within ``tol / 2``.
+    The sequences run on h / norm(h), so every stopping rule acts at unit
+    scale: a sequence leaves the batch once its eigenvalue is stationary
+    and its residuals are within ``tol / 2`` there.  Values and residuals
+    are returned in the units of h.
     """
-    arr = h.as_array()
+    hnorm = core.norm(h)
+    arr = h.as_array() / (hnorm or 1.0)
     xs = [np.array(x, dtype=np.complex128) for x in x0]
     m1 = _field_modes(arr, xs, 1, field)
     lam = np.real(np.einsum("bi,bij,bj->b", xs[0].conj(), m1, xs[0]))
@@ -150,7 +153,7 @@ def _lockstep(h, x0, largest, field, tol, max_sweeps) -> list[EigenTuple]:
     # no step above depends on the phases of the vectors; fix them once here
     xs = [linalg.phase_normalize(x) for x in xs]
     return [
-        EigenTuple(core.eval_poly(h, vs), vs, tuple(float(r) for r in rs))
+        EigenTuple(core.eval_poly(h, vs), vs, tuple(float(r) * hnorm for r in rs))
         for vs, rs in zip(zip(*xs), res)
     ]
 
@@ -169,8 +172,9 @@ def herm_eigenpair(
     sequence from a random unit tuple (real starts and real-subspace
     projection when field = "REAL"); all 2 * starts sequences advance in
     lock-step.  Tuples whose stationarity residual exceeds ``eigTupleTol``
-    are dropped and counted as failures; survivors are deduplicated up to
-    per-mode phases and sorted by eigenvalue.
+    times ``norm(h)`` are dropped and counted as failures; survivors are
+    deduplicated up to per-mode phases (values within ``DEDUP_VALUE_TOL``
+    times ``norm(h)``) and sorted by eigenvalue.
     """
     if field not in ("COMPLEX", "REAL"):
         raise ShapeMismatch(f"unknown field {field!r}")
@@ -185,21 +189,22 @@ def herm_eigenpair(
     largest = np.tile([False, True], starts)
     results = _lockstep(h, x0, largest, field, tols.eigTupleTol, max_sweeps)
 
+    hnorm = core.norm(h)
     kept: list[EigenTuple] = []
     failed = 0
     for tup in results:
-        if max(tup.residuals) > tols.eigTupleTol:
+        if max(tup.residuals) > tols.eigTupleTol * hnorm:
             failed += 1
             continue
-        if any(_same_tuple(tup, other) for other in kept):
+        if any(_same_tuple(tup, other, hnorm) for other in kept):
             continue
         kept.append(tup)
     kept.sort(key=lambda t: t.value)
     return EigenSearch(tuple(kept), failed)
 
 
-def _same_tuple(a: EigenTuple, b: EigenTuple) -> bool:
-    if abs(a.value - b.value) > DEDUP_VALUE_TOL:
+def _same_tuple(a: EigenTuple, b: EigenTuple, scale: float) -> bool:
+    if abs(a.value - b.value) > DEDUP_VALUE_TOL * scale:
         return False
     for va, vb in zip(a.vectors, b.vectors):
         if abs(np.vdot(va, vb)) < 1.0 - DEDUP_VALUE_TOL:

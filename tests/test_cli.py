@@ -534,8 +534,9 @@ TOL_CASES = {
     "r1Tol": [("1e-5", ["unitary-check", "{a}"],
                {"a": lambda: _outer([1, 0, 0, 1e-6] / np.hypot(1, 1e-6))}, [], (1, 0))],
     "gramTol": [("1", ["csos", "{a}", "--iters", "5"], {"a": csos_not_hsos_tensor}, [], (2, 0))],
+    # <a, b> = -4e-8 against norm(a) * norm(b) = 2.83: below -witTol times the norms at 1e-9, not at 1e-7
     "witTol": [("1e-7", ["sep-witness", "{a}", "--witness", "{b}"],
-                {"a": lambda: _diag(-1e-8, 0, 0, 0), "b": lambda: core.identity_tensor((2, 2))}, [], (1, 2))],
+                {"a": lambda: _diag(1, -1 - 4e-8, 0, 0), "b": lambda: core.identity_tensor((2, 2))}, [], (1, 2))],
     "sepTol": [("1e-5", ["sep-verify", "{a}", "--decomposition", "{d}"],
                 {"a": lambda: core.validate((2, 2), dec.assemble(_SV).mat + 1e-6 * np.eye(4)),
                  "d": lambda: _SV}, [], (1, 0))],

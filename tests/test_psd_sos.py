@@ -47,7 +47,8 @@ class TestCsos:
         assert res.status == "FEASIBLE"
         cert = res.certificate
         assert linalg.herm_eig(cert.W).eigenvalues[0] >= -1e-9
-        assert ps.gram_reconstruct_residual(csos_not_hsos_tensor(), cert) <= 1e-7
+        h = csos_not_hsos_tensor()
+        assert ps.gram_reconstruct_residual(h, cert) <= core.TOL.gramTol * core.norm(h)
 
     def test_hsos_true_is_feasible(self, rng):
         h = random_psd_tensor(rng, (2, 2), 2)

@@ -1,16 +1,19 @@
 """Verdicts do not depend on the unit of the input.
 
 The psd and separable cones are closed under positive scaling, so every
-psd test and eigenvalue cutoff is relative to the input's own largest
+tolerance is relative: to the tensor's norm, or to a matrix's own largest
 |eigenvalue|, with no absolute floor.
 """
+
+import json
+import re
 
 import numpy as np
 import pytest
 
-from hermitia import core, decomposition as dec, psd_sos, separability as sep
+from hermitia import cli, core, decomposition as dec, io as hio, psd_sos, separability as sep
 
-from conftest import hankel_tensor, random_unit
+from conftest import csos_not_hsos_tensor, hankel_tensor, random_unit, random_unitary
 
 SCALES = [1.0, 1e-6, 1e-12, 1e-16]
 
@@ -48,3 +51,125 @@ def test_jennrich_recovers_a_scaled_rank1_term(s, rng):
     assert isinstance(out, dec.HermitianDecomposition)
     assert len(out.terms) == 1
     assert dec.residual(out, h) <= core.TOL.cpTol * core.norm(h)
+
+
+# ---------------------------------------------------------------------------
+# The CLI verbs under exact and inexact scaling
+#
+# A metamorphic relation (Chen, Cheung & Yiu, HKUST-CS98-01, 1998): scaling
+# the input by s > 0 keeps every verdict, and a power of four scales every
+# floating-point step exactly, so the reports must then agree exactly, with
+# each reported value times s.
+
+EXACT = [4.0 ** 20, 4.0 ** -20]
+INEXACT = [1e8, 1e-8]
+# report fields that carry the unit of the input; every other field,
+# including CSOS iterations, eigentuple counts and ranks, must not move
+SCALED = {"gram_residual", "lambda", "max_residual", "min_eigenvalue",
+          "negative_eigenvalue", "residual", "witness_value"}
+_NUMBER = re.compile(r"[-+]?\d+(\.\d+)?e[-+]\d+")
+
+
+def _terms(dims, coeffs, rng, real=False) -> core.HermitianTensor:
+    mat = sum(c * core.rank1(1.0, [random_unit(rng, n, real) for n in dims]).mat for c in coeffs)
+    return core.HermitianTensor(dims, mat)
+
+
+def _nonpsd(dims, rng) -> core.HermitianTensor:
+    # H(u, conj u) <= 1.5 - 2 < 0 at the subtracted direction u
+    minus = core.rank1(-2.0, [random_unit(rng, n, True) for n in dims]).mat
+    return core.HermitianTensor(dims, _terms(dims, [1.0, 0.5], rng).mat + minus)
+
+
+def _werner(dims, rng) -> core.HermitianTensor:
+    """A maximally entangled state (GHZ for three modes) mixed with 20%
+    white noise, in a random local unitary frame: psd, entangled."""
+    n = core.size_of(dims)
+    psi = sum(core.kron_vector([np.eye(dims[0])[i]] * len(dims)) for i in range(dims[0]))
+    rho = 0.8 * np.outer(psi, psi.conj()) / dims[0] + 0.2 * np.eye(n) / n
+    q = np.ones((1, 1))
+    for d in dims:
+        q = np.kron(q, random_unitary(rng, d))
+    return core.HermitianTensor(dims, q @ rho @ q.conj().T)
+
+
+def _scale_inputs() -> dict:
+    rng = np.random.default_rng(20261018)
+    out = {}
+    for dims in ((2, 2), (2, 3), (3, 3), (2, 2, 2)):
+        tag = "x".join(map(str, dims))
+        out[f"sep-{tag}"] = _terms(dims, [1.0, 2.0], rng)
+        out[f"nonpsd-{tag}"] = _nonpsd(dims, rng)
+    for dims in ((2, 2), (2, 3)):
+        out[f"sep-real-{'x'.join(map(str, dims))}"] = _terms(dims, [1.0, 2.0], rng, real=True)
+    out["csos-2x2"] = csos_not_hsos_tensor()
+    for dims in ((2, 2), (3, 3), (2, 2, 2)):
+        out[f"werner-{'x'.join(map(str, dims))}"] = _werner(dims, rng)
+    for dims in ((2, 3), (3, 3)):
+        out[f"lowrank-{'x'.join(map(str, dims))}"] = _terms(dims, [1.0, -0.7], rng)
+    return out
+
+
+INPUTS = _scale_inputs()
+VERBS = {
+    "psd": ["psd", "--field", "COMPLEX"],
+    "psd-real": ["psd", "--field", "REAL"],
+    "eig": ["eig"],
+    "hsos": ["hsos"],
+    "csos": ["csos", "--iters", "{iters}"],
+    "omega": ["omega", "--k", "{k}"],
+    "sep-pipeline": ["sep-pipeline", "--effort", "2"],
+    "real-check": ["real-check"],
+    "bounds": ["bounds"],
+    "unitary-check": ["unitary-check"],
+    "jennrich": ["jennrich", "--rmax", "2"],
+}
+
+
+def _run_json(verb, h, path, capsys) -> tuple[int, dict]:
+    hio.save_hten(path, h)
+    k = ",".join(["1"] + ["0"] * (h.order - 1))
+    # CSOS runs to its verdict on [2,2] (K = 16); the larger bases stop early
+    iters = 300 if h.size == 4 else 30
+    code = cli.run(["--json"] + [a.format(k=k, iters=iters) for a in VERBS[verb]] + [str(path)])
+    out = capsys.readouterr().out
+    return code, json.loads(out) if out else {}
+
+
+def _times(report, s):
+    """``report`` with every SCALED value multiplied by s and the numbers
+    inside text removed (a detail may quote a scaled value)."""
+    if isinstance(report, dict):
+        return {k: v * s if k in SCALED else _times(v, s) for k, v in report.items()}
+    if isinstance(report, list):
+        return [_times(v, s) for v in report]
+    if isinstance(report, str):
+        return _NUMBER.sub("#", report)
+    return report
+
+
+@pytest.mark.parametrize("verb", VERBS)
+@pytest.mark.parametrize("name", INPUTS)
+def test_verbs_scale_exactly(name, verb, tmp_path, capsys):
+    h = INPUTS[name]
+    path = tmp_path / "h.hten"
+    code, report = _run_json(verb, h, path, capsys)
+    for s in EXACT:
+        got, got_report = _run_json(verb, _scaled(h, s), path, capsys)
+        assert (got, _times(got_report, 1.0)) == (code, _times(report, s)), s
+    for s in INEXACT:
+        got, _ = _run_json(verb, _scaled(h, s), path, capsys)
+        assert got not in (64, 65) and {got, code} != {0, 1}, s
+
+
+@pytest.mark.parametrize("name", INPUTS)
+def test_local_frame_keeps_hsos_and_bounds(name, tmp_path, capsys):
+    h = INPUTS[name]
+    path = tmp_path / "h.hten"
+    want = [_run_json(verb, h, path, capsys) for verb in ("hsos", "bounds")]
+    rng = np.random.default_rng(7)
+    qs = [random_unitary(rng, n) for n in h.dims]
+    for s in [1.0] + EXACT:
+        framed = core.congruent(qs, _scaled(h, s))
+        hsos, bounds = (_run_json(verb, framed, path, capsys) for verb in ("hsos", "bounds"))
+        assert (hsos[0], bounds) == (want[0][0], want[1]), s

@@ -223,8 +223,8 @@ class TestBudgetLockstep:
     def test_larger_budgets_stop_at_a_fit(self, rng, monkeypatch):
         a = separable_23(rng)
         seeds = {1: 6, 2: 7, 3: 8, 4: 9}
-        eig_rows, herm_eig = [], sep.linalg.herm_eig
-        monkeypatch.setattr(sep.linalg, "herm_eig", lambda m: eig_rows.append(len(m)) or herm_eig(m))
+        eig_rows, eigh = [], sep.linalg._eigh
+        monkeypatch.setattr(sep.linalg, "_eigh", lambda m: eig_rows.append(len(m)) or eigh(m))
 
         def search(seeds):
             eig_rows.clear()
