@@ -236,7 +236,7 @@ def jennrich_decompose(
 
     if h.order == 1:
         # matrix case: the spectral decomposition already is the answer
-        pairs = linalg.herm_eig(h.mat).kept(1e-12)
+        pairs = linalg.herm_part_eig(h.mat).kept(1e-12)
         pairs.sort(key=lambda p: -abs(p[0]))
         terms = tuple((w, (linalg.phase_normalize(v),)) for w, v in pairs[:rmax])
         d = HermitianDecomposition(h.dims, terms)
@@ -284,11 +284,11 @@ def _jennrich_factors(unfold1: np.ndarray, t1: np.ndarray, t2: np.ndarray, r: in
     """Column directions shared by two slice mixtures t1, t2 (N1 x N2)."""
     # orthonormal bases for the shared column and row spaces
     gc = unfold1 @ unfold1.conj().T
-    wc = linalg.herm_eig(gc)
+    wc = linalg.herm_part_eig(gc)
     p = wc.eigenvectors[:, ::-1][:, :r]
     stacked = np.vstack([t1, t2])
     gr = stacked.conj().T @ stacked
-    wr = linalg.herm_eig(gr)
+    wr = linalg.herm_part_eig(gr)
     q = wr.eigenvectors[:, ::-1][:, :r]
 
     s1 = p.conj().T @ t1 @ q

@@ -51,8 +51,8 @@ def herm_eig(a) -> SpectralDecomp:
     ``(B, n, n)`` of them solved by one LAPACK ``eigh`` call.
 
     Each member must be Hermitian within 1e-8 times its own largest
-    |entry|, with no absolute floor; its Hermitian part is solved by
-    ``_eigh``, which matrices Hermitian by construction call directly.
+    |entry|, with no absolute floor.  The check guards a caller's matrix;
+    code that builds its own Hermitian matrix calls ``herm_part_eig``.
     """
     a = np.asarray(a, dtype=np.complex128)
     if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
@@ -63,13 +63,13 @@ def herm_eig(a) -> SpectralDecomp:
         i = int(np.argmax(bad))
         where = f"stack member {i}" if a.ndim == 3 else "matrix"
         raise SymmetryViolation(f"{where} is not Hermitian: deviation {dev.flat[i]:.3e}")
-    return _eigh(a)
+    return herm_part_eig(a)
 
 
-def _eigh(a: np.ndarray) -> SpectralDecomp:
-    """``herm_eig`` of the Hermitian part, unchecked.  Real input (for a
-    stack: every member real) is solved as a real problem, so its
-    eigenvectors stay exactly real; a zero matrix gets identity ones."""
+def herm_part_eig(a: np.ndarray) -> SpectralDecomp:
+    """``herm_eig`` of the Hermitian part (a + a*) / 2, unchecked.  Real
+    input (for a stack: every member real) is solved as a real problem,
+    so its eigenvectors stay exactly real; a zero matrix gets identity ones."""
     a = (a + np.swapaxes(a.conj(), -1, -2)) / 2.0
     try:
         w, v = np.linalg.eigh(a if np.any(a.imag) else a.real)
@@ -130,7 +130,7 @@ def rank1_factor(t) -> tuple[list[np.ndarray], float]:
     factors: list[np.ndarray] = []
     for _ in range(t.ndim - 1):
         x = cur.reshape(cur.shape[0], -1)
-        u = phase_normalize(herm_eig(x @ x.conj().T).eigenvectors[:, -1])
+        u = phase_normalize(herm_part_eig(x @ x.conj().T).eigenvectors[:, -1])
         u = u / np.linalg.norm(u)
         factors.append(u)
         cur = np.tensordot(u.conj(), cur, axes=(0, 0))

@@ -124,7 +124,7 @@ def hsos_test(h: core.HermitianTensor, tols: core.Tolerances = core.TOL) -> Hsos
     the property.
     """
     m = flatten.hermitian_flatten(h).mat
-    sd = linalg.herm_eig(m)
+    sd = linalg.herm_part_eig(m)
     if sd.is_psd(tols.eigTol):
         cert = GramCertificate(h.dims, hol_basis(h.dims), m.copy(), 0.0)
         return HsosResult(True, certificate=cert)
@@ -320,7 +320,7 @@ def multiplier_hsos_test(
     w = cmap.of_tensor(h)[cmap.gram_ids].reshape(bsize, bsize)
     w = (w + w.conj().T) / 2.0
 
-    sd = linalg.herm_eig(w)
+    sd = linalg.herm_part_eig(w)
     wmin = float(sd.eigenvalues[0])
     if sd.is_psd(tols.eigTol):
         return OmegaResult("MEMBER", powers, GramCertificate(dims, basis, w, 0.0), wmin)

@@ -31,13 +31,6 @@ from .errors import ConstructionFailed, NotRealDecomposable, NotShape22, Reality
 SHIFT_EPS = 1e-6
 
 
-def _real_array(h: core.HermitianTensor, tols: core.Tolerances) -> np.ndarray:
-    dev = float(np.abs(h.mat.imag).max())
-    if dev > tols.symTol * core.norm(h):
-        raise RealityViolation(f"entries have imaginary parts up to {dev:.3e}")
-    return h.mat.real.reshape(h.dims + h.dims)
-
-
 def is_real_decomposable(h: core.HermitianTensor, tols: core.Tolerances = core.TOL):
     """Entry-symmetry test for real decomposability, at ``symTol`` times
     ``norm(h)``.
@@ -46,14 +39,18 @@ def is_real_decomposable(h: core.HermitianTensor, tols: core.Tolerances = core.T
     two label pairs (lexicographic scan order) that share all unordered
     per-mode pairs {i_s, j_s} = {k_s, l_s} yet carry different entries.
     """
-    arr = _real_array(h, tols)
+    bound = tols.symTol * core.norm(h)
+    dev = float(np.abs(h.mat.imag).max())
+    if dev > bound:
+        raise RealityViolation(f"entries have imaginary parts up to {dev:.3e}")
+    arr = h.mat.real.reshape(h.dims + h.dims)
     m = h.order
     # the first member of a group in scan order puts the smaller index of
     # every mode pair in I: compare each entry with that one
     idx = np.ogrid[tuple(slice(n) for n in h.dims + h.dims)]
     lo = [np.minimum(idx[s], idx[m + s]) for s in range(m)]
     hi = [np.maximum(idx[s], idx[m + s]) for s in range(m)]
-    bad = np.abs(arr - arr[tuple(lo + hi)]) > tols.symTol * core.norm(h)
+    bad = np.abs(arr - arr[tuple(lo + hi)]) > bound
     if not bad.any():
         return True, None
     pos = np.unravel_index(int(np.argmax(bad)), bad.shape)
@@ -79,7 +76,7 @@ def real_decomposable_array(h: core.HermitianTensor, tols: core.Tolerances = cor
     ok, witness = is_real_decomposable(h, tols)
     if not ok:
         raise NotRealDecomposable(_witness_text(witness))
-    arr = _real_array(h, tols)
+    arr = h.mat.real.reshape(h.dims + h.dims)
     m = h.order
     for s in range(m):
         arr = (arr + arr.swapaxes(s, m + s)) / 2.0
@@ -110,7 +107,7 @@ def _unit(n: int, i: int) -> np.ndarray:
 def _decompose_recursive(arr: np.ndarray, dims: tuple[int, ...]):
     m = len(dims)
     if m == 1:
-        sd = linalg.herm_eig(arr.astype(np.complex128))
+        sd = linalg.herm_part_eig(arr)
         return [(w, [v.real.astype(np.complex128)]) for w, v in sd.kept(1e-12)]
     nm = dims[-1]
     terms = []
@@ -163,7 +160,7 @@ class NormalForm22:
 
 
 def _sym_eig2(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    sd = linalg.herm_eig(a.astype(np.complex128))
+    sd = linalg.herm_part_eig(a)
     return sd.eigenvalues, sd.eigenvectors.real
 
 

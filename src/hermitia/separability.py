@@ -119,7 +119,7 @@ def psd_kron_to_decomposition(pk: PsdKronDecomp, tols: core.Tolerances = core.TO
             dev, bound = float(np.abs(b - b.conj().T).max()), tols.symTol * float(np.linalg.norm(b))
             if dev > bound:
                 raise SymmetryViolation(f"block is not Hermitian: deviation {dev:.3e} > {bound:.1e}")
-            sd = linalg._eigh(b)
+            sd = linalg.herm_part_eig(b)
             if not sd.is_psd(tols.eigTol):
                 raise BlockNotPsd(f"block has eigenvalue {sd.eigenvalues[0]:.3e}")
             per_mode.append([(w, linalg.phase_normalize(v)) for w, v in sd.kept(tols.eigTol)])
@@ -225,7 +225,7 @@ def _budget_search(a, seeds, iters, starts, tols):
             res_arr = (a.mat - core._rank1_sum(others, zs[rows])).reshape((len(rows),) + a.dims * 2)
             for k, n in enumerate(a.dims):
                 mk = spectral._mode_matrices(res_arr, [x[rows, i] for x in xs], k + 1)
-                sd = linalg._eigh(mk)
+                sd = linalg.herm_part_eig(mk)
                 v = sd.eigenvectors[:, :, -1]
                 for j in np.flatnonzero(sd.eigenvalues[:, -1] <= 0):
                     v[j] = _random_unit(rngs[rb[rows[j]]], n)
@@ -338,7 +338,7 @@ def _wootters(a: core.HermitianTensor, tols: core.Tolerances) -> HermitianDecomp
     sum sigma_j e^{i t_j} = 0, every Hadamard combination of them has
     z^T S z = 0, hence is a product.
     """
-    kept = linalg.herm_eig(a.mat).kept(tols.eigTol)
+    kept = linalg.herm_part_eig(a.mat).kept(tols.eigTol)
     if not kept:
         return HermitianDecomposition(a.dims, ())
     v = np.column_stack([math.sqrt(w) * x for w, x in kept])
@@ -347,7 +347,7 @@ def _wootters(a: core.HermitianTensor, tols: core.Tolerances) -> HermitianDecomp
     # an eigenpair (s > 0, [p; q]) of this real symmetric matrix gives
     # tau conj(u) = s u for u = p + iq, and those u are orthonormal; QR
     # completes them to a unitary whose extra columns have Takagi value 0
-    sd = linalg.herm_eig(np.block([[tau.real, tau.imag], [tau.imag, -tau.real]]))
+    sd = linalg.herm_part_eig(np.block([[tau.real, tau.imag], [tau.imag, -tau.real]]))
     us = [e[:k] + 1j * e[k:] for s, e in sd.kept(tols.rankTol) if s > 0]
     u = np.linalg.qr(np.column_stack(us + [np.eye(k)]))[0]
     y = np.pad(v @ u.conj(), ((0, 0), (0, 4 - k)))

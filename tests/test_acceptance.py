@@ -260,10 +260,10 @@ def test_criterion_8d_eigen_tuples():
         h = core.random_hermitian(dims, 3000 + seed)
         search = spectral.herm_eigenpair(h, seed=seed, starts=6)
         for t in search.tuples:
-            worst = max(worst, max(t.residuals) / core.norm(h))
+            worst = max(worst, max(t.residuals))
             emitted += 1
         seed += 1
-    _report("8d", worst <= 1e-8, f"{emitted} eigentuples, worst KKT residual / norm {worst:.2e}")
+    _report("8d", worst <= 1e-8, f"{emitted} eigentuples, worst KKT residual {worst:.2e}")
 
 
 def test_criterion_8e_eigensolver_oracle(rng):

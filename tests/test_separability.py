@@ -223,8 +223,8 @@ class TestBudgetLockstep:
     def test_larger_budgets_stop_at_a_fit(self, rng, monkeypatch):
         a = separable_23(rng)
         seeds = {1: 6, 2: 7, 3: 8, 4: 9}
-        eig_rows, eigh = [], sep.linalg._eigh
-        monkeypatch.setattr(sep.linalg, "_eigh", lambda m: eig_rows.append(len(m)) or eigh(m))
+        eig_rows, eigh = [], sep.linalg.herm_part_eig
+        monkeypatch.setattr(sep.linalg, "herm_part_eig", lambda m: eig_rows.append(len(m)) or eigh(m))
 
         def search(seeds):
             eig_rows.clear()
@@ -356,6 +356,15 @@ class TestWootters:
             frame = [random_unitary(rng, 2), random_unitary(rng, 2)]
             self.assert_closed_form(core.HermitianTensor((2, 2), a.mat * s))
             self.assert_closed_form(core.congruent(frame, core.HermitianTensor((2, 2), a.mat * s)))
+
+    @pytest.mark.parametrize("s", [4.0 ** -20, 1.0, 4.0 ** 20])
+    @pytest.mark.parametrize("second", [[1.0, 1.0], [1.0, 2.0]])
+    def test_shared_factor(self, rng, s, second):
+        # |a><a| (x) diag(second): a^T sigma_y a = 0, so every entry of tau
+        # is rounding noise and its real symmetric block is not symmetric
+        for _ in range(5):
+            a = random_unit(rng, 2)
+            self.assert_closed_form(core.HermitianTensor((2, 2), np.kron(np.outer(a, a.conj()), np.diag(second)) * s))
 
     def test_near_collinear_terms(self):
         # two product terms 0.3 rad apart in both modes: the search alone
