@@ -1,30 +1,25 @@
 """Positivity certificates for Hermitian tensors.
 
-Three nested sufficient conditions, in increasing strength of the
-underlying basis:
+One Gram problem over three monomial bases b: is there a psd W with
+sum_{p,q} W[p, q] conj(b_p) b_q = |x_1|^{2 d_1} ... |x_m|^{2 d_m}
+H(x, conj x), coefficient by coefficient, the degrees d_k read from b?
+One cached coefficient map per (shape, basis) numbers the monomials, and
+every certificate's residual is its largest mismatch under that map.
 
-* HSOS: the conjugate polynomial is a sum of squared moduli of
-  holomorphic polynomials; holds iff the Hermitian flattening is psd,
-  so the test is a single eigendecomposition and the flattening itself
-  is the Gram matrix.
-* CSOS: sums of squared moduli of mixed conjugate polynomials; a psd
-  Gram matrix over the basis (x_1, conj x_1) (x) ... (x) (x_m, conj x_m)
-  subject to affine coefficient-matching constraints.  Feasibility is
-  searched by alternating projections between the psd cone and the
-  affine subspace; infeasibility can only be hinted at, never certified.
-* Multiplier membership: |x_1|^{2 k_1} ... |x_m|^{2 k_m} H(x, conj(x))
-  being HSOS over the multidegree-(k+1) holomorphic basis.  Every
-  strictly positive tensor lands in some such set for large enough
-  powers (no effective bound); membership certifies positivity.
-
-All three are Gram matrices over monomial bases, matched against the
-tensor by one coefficient map: Gram entry (p, q) stands for the monomial
-conj(b_p) b_q.
+* HSOS: the degree-(1, ..., 1) holomorphic basis, on which W is fixed
+  (the flattening), so the test is one eigendecomposition.
+* Multiplier membership: the multidegree-(k+1) holomorphic basis, HSOS
+  being k = 0; W is again fixed.  Every strictly positive tensor lands
+  in some such set for large enough powers (no effective bound).
+* CSOS: the mixed basis (x_1, conj x_1) (x) ... (x) (x_m, conj x_m), on
+  which W is free.  Alternating projections between the psd cone and the
+  affine coefficient-matching set search for it; infeasibility can only
+  be hinted at, never certified.
 
 The psd verdict pipeline combines eigentuple witnesses (for refutation)
-with these certificates, transferring complex certificates to the real
-field for real-decomposable tensors, where real and complex positivity
-agree.
+with the holomorphic certificates, transferring complex certificates to
+the real field for real-decomposable tensors, where real and complex
+positivity agree.
 """
 
 from __future__ import annotations
@@ -32,12 +27,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import NamedTuple
 
 import numpy as np
 
-from . import core, flatten, linalg, real_herm, spectral
+from . import core, linalg, real_herm, spectral
 from .errors import BasisTooLarge, RealityViolation, ShapeMismatch
 
 BASIS_CAP = 64
@@ -51,9 +46,8 @@ class GramCertificate:
     Each basis monomial is an exponent tuple of length 2 * sum(dims):
     exponents of x_{1,1}, ..., x_{m,n_m} followed by those of their
     conjugates.  Gram entry (p, q) stands for the monomial
-    conj(b_p) b_q.  ``residual`` is the largest coefficient mismatch
-    between the Gram form and |x_1|^{2 d_1} ... |x_m|^{2 d_m} H(x, conj x),
-    the multiplier degrees d_k read from the basis.
+    conj(b_p) b_q.  ``residual`` is the largest coefficient mismatch of
+    the Gram form, as ``gram_reconstruct_residual`` computes it.
     """
 
     dims: tuple[int, ...]
@@ -117,16 +111,10 @@ def hol_basis(dims) -> tuple[tuple[int, ...], ...]:
 
 
 def hsos_test(h: core.HermitianTensor, tols: core.Tolerances = core.TOL) -> HsosResult:
-    """Decide the holomorphic sum-of-squares property via the flattening.
-
-    The flattening is the unique Gram matrix over the degree-(1, ..., 1)
-    holomorphic basis, so psd-ness of it (at ``eigTol``) is equivalent to
-    the property.
-    """
-    m = flatten.hermitian_flatten(h).mat
-    sd = linalg.herm_part_eig(m)
-    if sd.is_psd(tols.eigTol):
-        cert = GramCertificate(h.dims, hol_basis(h.dims), m.copy(), 0.0)
+    """Decide the holomorphic sum-of-squares property: the flattening, the
+    one Gram matrix over ``hol_basis``, is psd (at ``eigTol``)."""
+    cert, sd = _fixed_gram_test(h, hol_basis(h.dims), tols)
+    if cert is not None:
         return HsosResult(True, certificate=cert)
     return HsosResult(False, negative_eigenvalue=float(sd.eigenvalues[0]),
                       eigenvector=sd.eigenvectors[:, 0].copy())
@@ -147,13 +135,6 @@ def _mode_monomials(n: int, degree: int) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # The coefficient map shared by every Gram basis
-
-
-def _entry_monomials(b: np.ndarray) -> np.ndarray:
-    """Exponents of conj(b_p) b_q for every pair (p, q), row-major."""
-    t = b.shape[1] // 2
-    conj = np.concatenate([b[:, t:], b[:, :t]], axis=1)
-    return (conj[:, None, :] + b[None, :, :]).reshape(-1, 2 * t)
 
 
 def _group_sums(w: np.ndarray, gids: np.ndarray, ngroups: int) -> np.ndarray:
@@ -184,38 +165,57 @@ class _CoefficientMap(NamedTuple):
     def of_tensor(self, h: core.HermitianTensor) -> np.ndarray:
         return _group_sums(np.outer(h.mat.reshape(-1), self.weights), self.term_ids, self.ngroups)
 
+    def residual(self, w: np.ndarray, targets: np.ndarray) -> float:
+        """Largest mismatch between the Gram form of w and the targets."""
+        return float(np.abs(self.of_gram(w) - targets).max())
+
+
+def _fold(ids, col: np.ndarray) -> np.ndarray:
+    """Dense ids of the rows of (ids, col), numbered by a 1-D ``np.unique``,
+    so that they stay below the row count and cannot overflow."""
+    col = col - col.min()
+    return np.unique(ids * (int(col.max()) + 1) + col, return_inverse=True)[1].reshape(-1)
+
 
 @lru_cache(maxsize=32)
 def _coefficient_map(dims: tuple[int, ...], basis: tuple[tuple[int, ...], ...]) -> _CoefficientMap:
-    """One ``np.unique`` over the Gram-entry monomials and the target terms."""
+    """Number the monomials one mode at a time.  A monomial is the product
+    of its per-mode parts, so each mode numbers its few distinct parts,
+    and the per-mode ids fold into one key."""
     b = np.asarray(basis, dtype=np.int64)
-    t = sum(dims)
+    t, m = sum(dims), len(dims)
     offs = np.cumsum((0,) + dims[:-1])
     deg = np.add.reduceat(b[0, :t] + b[0, t:], offs) - 1
     alphas = [_mode_monomials(n, d) for n, d in zip(dims, deg)]
-    mults = np.asarray(_product_basis(dims, [np.hstack([a, a]) for a in alphas]))
     fact = np.array([math.factorial(i) for i in range(int(deg.max()) + 1)], dtype=np.float64)
-    weights = fact[deg].prod() / fact[mults[:, :t]].prod(axis=1)
-    tensor = _entry_monomials(np.asarray(hol_basis(dims)))
-    terms = (tensor[:, None, :] + mults[None, :, :]).reshape(-1, 2 * t)
-    gram = _entry_monomials(b)
-    keys, inverse = np.unique(np.concatenate([gram, terms]), axis=0, return_inverse=True)
-    inverse = inverse.reshape(-1)
-    inverse.setflags(write=False)  # cached and shared by every caller
+    den = reduce(np.multiply.outer, [fact[a].prod(axis=1) for a in alphas])  # alpha! per alpha
+    weights = fact[deg].prod() / den.reshape(-1)
+    grid = dims + dims + tuple(len(a) for a in alphas)  # the target terms' axes (I, J, alpha)
+    key = 0
+    for k, (n, off, a) in enumerate(zip(dims, offs, alphas)):
+        part = b[:, np.r_[off:off + n, t + off:t + off + n]]  # exponents of x_k, then of conj x_k
+        row_ids = reduce(_fold, part.T, 0)
+        rows = part[np.unique(row_ids, return_index=True)[1]]  # row id i at row i
+        eye = np.eye(n, dtype=np.int64)
+        # conj(x_i) x_j |x^alpha|^2: x exponents e_j + alpha, conj ones e_i + alpha
+        terms = np.concatenate(np.broadcast_arrays(eye[None, :, None] + a, eye[:, None, None] + a), axis=3)
+        pairs = np.roll(rows, n, axis=1)[:, None] + rows
+        ids = reduce(_fold, np.concatenate([pairs.reshape(-1, 2 * n), terms.reshape(-1, 2 * n)]).T, 0)
+        d = len(rows)
+        term = np.expand_dims(ids[d * d:].reshape(n, n, -1), [i for i in range(3 * m) if i % m != k])
+        key = _fold(key, np.concatenate([ids[: d * d].reshape(d, d)[np.ix_(row_ids, row_ids)].reshape(-1),
+                                         np.broadcast_to(term, grid).reshape(-1)]))
+    key.setflags(write=False)  # cached and shared by every caller
     weights.setflags(write=False)
-    return _CoefficientMap(inverse[: len(gram)], inverse[len(gram):], weights, len(keys))
+    return _CoefficientMap(key[: len(b) ** 2], key[len(b) ** 2:], weights, int(key.max()) + 1)
 
 
 def gram_reconstruct_residual(h: core.HermitianTensor, cert: GramCertificate) -> float:
-    """Largest coefficient mismatch between the Gram form and the tensor.
-
-    Sums the Gram entries over each monomial conj(b_p) b_q and compares
-    with |x_1|^{2 d_1} ... |x_m|^{2 d_m} H(x, conj x), the multiplier
-    degrees d_k read from the basis (zero for the holomorphic and CSOS
-    bases); monomials outside the tensor's support must cancel.  Raises
-    ``ShapeMismatch`` unless W is K-by-K for the K basis rows, every row
-    has width 2 * sum(dims), and all rows share one positive degree per
-    mode.
+    """Largest coefficient mismatch between the Gram form and the
+    multiplied tensor (see the module docstring); monomials outside the
+    tensor's support must cancel.  Raises ``ShapeMismatch`` unless W is
+    K-by-K for the K basis rows, every row has width 2 * sum(dims), and
+    all rows share one positive degree per mode.
     """
     k, t = len(cert.basis), sum(h.dims)
     if np.shape(cert.W) != (k, k):
@@ -227,7 +227,21 @@ def gram_reconstruct_residual(h: core.HermitianTensor, cert: GramCertificate) ->
     if not k or deg.min() < 1 or np.any(deg != deg[0]):
         raise ShapeMismatch("basis rows need one common positive degree per mode")
     cmap = _coefficient_map(h.dims, cert.basis)
-    return float(np.abs(cmap.of_gram(cert.W) - cmap.of_tensor(h)).max())
+    return cmap.residual(cert.W, cmap.of_tensor(h))
+
+
+def _fixed_gram_test(h: core.HermitianTensor, basis, tols: core.Tolerances):
+    """The Gram test over a basis on which every Gram entry stands for its
+    own monomial, so the coefficient map pins W down: the certificate if
+    W is psd (at ``eigTol``), and W's spectrum either way."""
+    cmap = _coefficient_map(h.dims, basis)
+    targets = cmap.of_tensor(h)
+    w = targets[cmap.gram_ids].reshape(len(basis), -1)
+    w = (w + w.conj().T) / 2.0
+    sd = linalg.herm_part_eig(w)
+    if not sd.is_psd(tols.eigTol):
+        return None, sd
+    return GramCertificate(h.dims, basis, w, cmap.residual(w, targets)), sd
 
 
 # ---------------------------------------------------------------------------
@@ -260,15 +274,12 @@ def csos_test(
         out = w + corr[gids].reshape(K, K)
         return (out + out.conj().T) / 2.0
 
-    def coeff_residual(w):
-        return float(np.abs(cmap.of_gram(w) - targets).max())
-
     w = affine(np.zeros((K, K), dtype=np.complex128))
     dist_hist: list[float] = []
     averaged = False
     for it in range(1, iters + 1):
         p = linalg.psd_project(w)
-        res = coeff_residual(p)
+        res = cmap.residual(p, targets)
         if res <= gram_tol:
             return CsosResult("FEASIBLE", GramCertificate(h.dims, basis, p, res), it, res)
         wa = affine(p)
@@ -286,7 +297,7 @@ def csos_test(
                     dist_hist.clear()
                 else:
                     return CsosResult("INFEASIBLE_HINT", None, it, res)
-    return CsosResult("UNKNOWN", None, iters, coeff_residual(linalg.psd_project(w)))
+    return CsosResult("UNKNOWN", None, iters, cmap.residual(linalg.psd_project(w), targets))
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +307,6 @@ def csos_test(
 def multiplier_hsos_test(
     h: core.HermitianTensor,
     powers,
-    basis_cap: int = BASIS_CAP,
     tols: core.Tolerances = core.TOL,
 ) -> OmegaResult:
     """Membership test for the multiplier cone with the given powers.
@@ -304,27 +314,21 @@ def multiplier_hsos_test(
     Forms |x_1|^{2k_1} ... |x_m|^{2k_m} H(x, conj(x)) and checks whether
     its Gram matrix over the multidegree-(k+1) holomorphic basis is psd
     (at ``eigTol``).  Over that basis every Gram entry stands for its own
-    monomial, so the coefficient map pins W down uniquely and the test is
-    a single psd check; the certificate residual is zero by construction.
+    monomial, so the test is a single psd check.  Zero powers give the
+    flattening, which is never capped; other bases above ``BASIS_CAP``
+    rows raise ``BasisTooLarge``.
     """
-    dims = h.dims
     powers = tuple(int(k) for k in powers)
-    if len(powers) != len(dims) or any(k < 0 for k in powers):
-        raise ShapeMismatch(f"powers {powers} do not match shape {dims}")
-    per_mode = [_mode_monomials(n, k + 1) for n, k in zip(dims, powers)]
+    if len(powers) != h.order or any(k < 0 for k in powers):
+        raise ShapeMismatch(f"powers {powers} do not match shape {h.dims}")
+    per_mode = [_mode_monomials(n, k + 1) for n, k in zip(h.dims, powers)]
     bsize = math.prod(len(a) for a in per_mode)
-    if bsize > basis_cap:
-        raise BasisTooLarge(f"basis size {bsize} exceeds cap {basis_cap}")
-    basis = _product_basis(dims, [np.hstack([a, 0 * a]) for a in per_mode])
-    cmap = _coefficient_map(dims, basis)
-    w = cmap.of_tensor(h)[cmap.gram_ids].reshape(bsize, bsize)
-    w = (w + w.conj().T) / 2.0
-
-    sd = linalg.herm_part_eig(w)
-    wmin = float(sd.eigenvalues[0])
-    if sd.is_psd(tols.eigTol):
-        return OmegaResult("MEMBER", powers, GramCertificate(dims, basis, w, 0.0), wmin)
-    return OmegaResult("UNKNOWN", powers, None, wmin)
+    if any(powers) and bsize > BASIS_CAP:
+        raise BasisTooLarge(f"basis size {bsize} exceeds cap {BASIS_CAP}")
+    basis = _product_basis(h.dims, [np.hstack([a, 0 * a]) for a in per_mode])
+    cert, sd = _fixed_gram_test(h, basis, tols)
+    return OmegaResult("UNKNOWN" if cert is None else "MEMBER", powers, cert,
+                       float(sd.eigenvalues[0]))
 
 
 def psd_verdict(
@@ -337,10 +341,11 @@ def psd_verdict(
     """Combined positivity verdict over the requested field.
 
     Order of attack: eigentuple multistart for a strict negativity
-    witness (value below ``-witTol * norm(h)``); the flattening psd test (sufficient
-    over both fields); multiplier memberships with total power up to
-    ``effort`` (complex field, transferred to real-decomposable real
-    tensors); otherwise UNKNOWN.
+    witness (value below ``-witTol * norm(h)``); then one ladder of
+    multiplier memberships by total power 0..``effort``.  Rung 0 is the
+    flattening, sufficient over both fields; higher rungs are complex
+    certificates, tried over the reals only for real-decomposable
+    tensors, where they transfer.  Otherwise UNKNOWN.
     """
     if field not in ("COMPLEX", "REAL"):
         raise ShapeMismatch(f"unknown field {field!r}")
@@ -348,31 +353,25 @@ def psd_verdict(
     if search.tuples and search.tuples[0].value < -tols.witTol * core.norm(h):
         t = search.tuples[0]
         return PsdVerdict("NOT_PSD_WITNESS", field, witness=t.vectors, witness_value=t.value)
-    hs = hsos_test(h, tols)
-    if hs.is_hsos:
-        return PsdVerdict("PSD_CERTIFIED", field, certificate=hs.certificate,
-                          note="flattening psd (holomorphic sum of squares)")
-    multiplier_ok, note = field == "COMPLEX", ""
-    if field == "REAL":
-        try:
-            multiplier_ok = real_herm.is_real_decomposable(h, tols)[0]
-        except RealityViolation:
-            multiplier_ok = False
-        note = ("real-decomposable: complex certificates transfer" if multiplier_ok
-                else "not real-decomposable: complex certificates do not transfer")
-    if multiplier_ok:
-        m = h.order
-        for total in range(1, effort + 1):
-            for powers in itertools.product(range(total + 1), repeat=m):
-                if sum(powers) != total:
-                    continue
-                try:
-                    res = multiplier_hsos_test(h, powers, tols=tols)
-                except BasisTooLarge:
-                    continue
-                if res.status == "MEMBER":
-                    return PsdVerdict(
-                        "PSD_CERTIFIED", field, certificate=res.certificate,
-                        note=f"multiplier membership at powers {powers}" + (f"; {note}" if note else ""),
-                    )
+    note = ""
+    for total in range(effort + 1):
+        for powers in (p for p in itertools.product(range(total + 1), repeat=h.order) if sum(p) == total):
+            try:
+                res = multiplier_hsos_test(h, powers, tols)
+            except BasisTooLarge:
+                continue
+            if res.status == "MEMBER":
+                found = (f"multiplier membership at powers {powers}" if total
+                         else "flattening psd (holomorphic sum of squares)")
+                return PsdVerdict("PSD_CERTIFIED", field, certificate=res.certificate,
+                                  note=found + (f"; {note}" if note else ""))
+        if total == 0 and field == "REAL":
+            try:
+                transfer = real_herm.is_real_decomposable(h, tols)[0]
+            except RealityViolation:
+                transfer = False
+            note = ("real-decomposable: complex certificates transfer" if transfer
+                    else "not real-decomposable: complex certificates do not transfer")
+            if not transfer:
+                break
     return PsdVerdict("UNKNOWN", field, note=note)

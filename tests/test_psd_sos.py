@@ -1,7 +1,11 @@
+import itertools
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from hermitia import core, decomposition as dec, linalg, psd_sos as ps
+from hermitia import core, decomposition as dec, linalg, psd_sos as ps, separability as sep
 from hermitia.errors import BasisTooLarge, ShapeMismatch
 
 from conftest import cr_psd_ii_tensor, csos_not_hsos_tensor, random_unit
@@ -191,6 +195,104 @@ class TestGramForms:
         basis[0], basis[1] = basis[1], basis[0]
         swapped = ps.GramCertificate(cert.dims, tuple(basis), cert.W, cert.residual)
         assert ps.gram_reconstruct_residual(h, swapped) > 1e-3
+
+
+def reference_map(dims, basis):
+    """Brute force: every monomial an exponent tuple in a dict, numbered in
+    order of first appearance; the Gram entries conj(b_p) b_q row-major,
+    then the target terms by flat entry (I, J), then by alpha."""
+    t = sum(dims)
+    groups: dict = {}
+    gram = [groups.setdefault(tuple(bp[t + i] + bq[i] for i in range(t))
+                              + tuple(bp[i] + bq[t + i] for i in range(t)), len(groups))
+            for bp in basis for bq in basis]
+    offs = np.cumsum((0,) + dims[:-1])
+    degs = [sum(basis[0][o:o + n]) + sum(basis[0][t + o:t + o + n]) - 1 for o, n in zip(offs, dims)]
+    per_mode = [[e for e in itertools.product(range(d, -1, -1), repeat=n) if sum(e) == d]
+                for n, d in zip(dims, degs)]
+    alphas = [sum(a, ()) for a in itertools.product(*per_mode)]
+    weights = [math.prod(math.factorial(d) for d in degs) / math.prod(math.factorial(e) for e in a)
+               for a in alphas]
+    index = list(itertools.product(*[range(n) for n in dims]))
+    unit = [tuple(int(j == i) for n, i in zip(dims, idx) for j in range(n)) for idx in index]
+    terms = [groups.setdefault(tuple(ej + a for ej, a in zip(unit[jj], al))
+                               + tuple(ei + a for ei, a in zip(unit[ii], al)), len(groups))
+             for ii in range(len(index)) for jj in range(len(index)) for al in alphas]
+    return gram, terms, weights, len(groups)
+
+
+def multiplier_basis(dims, powers):
+    return ps.multiplier_hsos_test(core.identity_tensor(dims), powers).certificate.basis
+
+
+def swapped(basis, p, q):
+    rows = list(basis)
+    rows[p], rows[q] = rows[q], rows[p]
+    return tuple(rows)
+
+
+class TestCoefficientMap:
+    @pytest.mark.parametrize("dims, basis", [
+        ((2, 3), ps.hol_basis((2, 3))),
+        ((2, 2, 2), ps.hol_basis((2, 2, 2))),
+        ((2, 3), ps.csos_basis((2, 3))),
+        ((2, 2, 2), ps.csos_basis((2, 2, 2))),
+        ((2, 3), multiplier_basis((2, 3), (1, 0))),
+        ((2, 3), multiplier_basis((2, 3), (1, 2))),
+        ((2, 2, 2), multiplier_basis((2, 2, 2), (0, 1, 1))),
+        ((2, 3), swapped(ps.hol_basis((2, 3)), 0, 4)),
+        ((2, 2, 2), swapped(ps.csos_basis((2, 2, 2)), 3, 40)),
+        # a negative exponent, which only a hand-made certificate carries
+        ((2, 2), ps.hol_basis((2, 2))[:3] + ((1, 2, 0, 1, -2, 0, 0, 0),)),
+    ])
+    def test_matches_a_brute_force_dict(self, dims, basis):
+        gram, terms, weights, ngroups = reference_map(dims, basis)
+        cmap = ps._coefficient_map(dims, basis)
+        ids = np.concatenate([cmap.gram_ids, cmap.term_ids]).tolist()
+        ref = gram + terms
+        assert len(cmap.gram_ids) == len(gram) and cmap.ngroups == ngroups
+        # one group per reference monomial and back: the same partition
+        assert len(set(zip(ids, ref))) == len(set(ids)) == ngroups
+        assert cmap.weights.tolist() == weights
+
+    def test_wide_build_stays_small(self):
+        basis = ps.hol_basis((16, 16))
+        tracemalloc.start()
+        try:
+            ps._coefficient_map.__wrapped__((16, 16), basis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
+
+
+def test_stored_residuals_are_the_recomputed_ones(rng):
+    # the second input is off-Hermitian by 1e-9, which no Hermitian W matches
+    eye = core.identity_tensor((2, 3))
+    skewed = core.HermitianTensor((2, 3), eye.mat + 1e-9 * np.triu(np.ones((6, 6)), 1))
+    for h in (random_psd_tensor(rng, (2, 3), 3), skewed):
+        certs = [ps.hsos_test(h).certificate, ps.csos_test(h).certificate]
+        certs += [ps.multiplier_hsos_test(h, k).certificate for k in ((1, 0), (0, 1), (1, 1), (2, 0))]
+        for cert in certs:
+            assert cert.residual == ps.gram_reconstruct_residual(h, cert)
+    assert ps.hsos_test(skewed).certificate.residual == pytest.approx(5e-10)
+
+
+def test_flattening_rung_is_never_capped():
+    # N = 81 > BASIS_CAP: the flattening answers, the multipliers are capped
+    rng = np.random.default_rng(9)
+    q = np.linalg.qr(rng.standard_normal((81, 81)))[0]
+    h = core.validate((9, 9), (q * np.linspace(-1.0, 2.0, 81)) @ q.T)
+    res = ps.hsos_test(h)
+    assert not res.is_hsos and res.negative_eigenvalue == pytest.approx(-1.0)
+    assert ps.multiplier_hsos_test(h, (0, 0)).min_eigenvalue == res.negative_eigenvalue
+    with pytest.raises(BasisTooLarge):
+        ps.multiplier_hsos_test(h, (1, 0))
+    assert sep.separability_pipeline(h).status == "ENTANGLED_WITNESS"
+    shifted = core.validate((9, 9), h.mat + 1.5 * np.eye(81))
+    assert ps.hsos_test(shifted).is_hsos
+    assert ps.multiplier_hsos_test(shifted, (0, 0)).status == "MEMBER"
+    assert ps.psd_verdict(shifted, effort=0).note == "flattening psd (holomorphic sum of squares)"
 
 
 class TestPsdVerdict:

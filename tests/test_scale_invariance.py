@@ -5,6 +5,7 @@ tolerance is relative: to the tensor's norm, or to a matrix's own largest
 |eigenvalue|, with no absolute floor.
 """
 
+import itertools
 import json
 import re
 
@@ -126,9 +127,9 @@ VERBS = {
 }
 
 
-def _run_json(verb, h, path, capsys) -> tuple[int, dict]:
+def _run_json(verb, h, path, capsys, powers=None) -> tuple[int, dict]:
     hio.save_hten(path, h)
-    k = ",".join(["1"] + ["0"] * (h.order - 1))
+    k = ",".join(map(str, powers or [1] + [0] * (h.order - 1)))
     # CSOS runs to its verdict on [2,2] (K = 16); the larger bases stop early
     iters = 300 if h.size == 4 else 30
     code = cli.run(["--json"] + [a.format(k=k, iters=iters) for a in VERBS[verb]] + [str(path)])
@@ -173,3 +174,35 @@ def test_local_frame_keeps_hsos_and_bounds(name, tmp_path, capsys):
         framed = core.congruent(qs, _scaled(h, s))
         hsos, bounds = (_run_json(verb, framed, path, capsys) for verb in ("hsos", "bounds"))
         assert (hsos[0], bounds) == (want[0][0], want[1]), s
+
+
+# ---------------------------------------------------------------------------
+# Relabelling: a mode permutation or entrywise conjugation of H is H in
+# other coordinates, so the Gram verdicts stand.  The coefficient map is
+# built one mode at a time, which is where a mode-order slip would hide.
+
+
+def _relabelings(h):
+    """(perm, tensor) for every nontrivial mode permutation, whose mode i
+    is h's mode perm[i], then for the entrywise conjugate."""
+    m = h.order
+    for perm in itertools.permutations(range(m)):
+        if perm != tuple(range(m)):
+            arr = h.mat.reshape(h.dims * 2).transpose(perm + tuple(m + p for p in perm))
+            yield perm, core.HermitianTensor(tuple(h.dims[p] for p in perm), arr.reshape(h.mat.shape))
+    yield tuple(range(m)), core.HermitianTensor(h.dims, h.mat.conj())
+
+
+@pytest.mark.parametrize("name", INPUTS)
+def test_relabeling_keeps_gram_verdicts(name, tmp_path, capsys):
+    h = INPUTS[name]
+    path = tmp_path / "h.hten"
+    powers = [1] + [0] * (h.order - 1)
+    want = {verb: _run_json(verb, h, path, capsys)[0]
+            for verb in ("hsos", "bounds", "real-check", "omega", "psd")}
+    for perm, g in _relabelings(h):
+        for verb in ("hsos", "bounds", "real-check"):
+            assert _run_json(verb, g, path, capsys)[0] == want[verb], (perm, verb)
+        for verb in ("omega", "psd"):
+            got = _run_json(verb, g, path, capsys, [powers[p] for p in perm])[0]
+            assert got not in (64, 65) and {got, want[verb]} != {0, 1}, (perm, verb)
