@@ -97,10 +97,12 @@ def matrix_rank(a, rel_tol: float = TOL.rankTol) -> int:
 
 
 def psd_project(a) -> np.ndarray:
-    """Frobenius-nearest positive semidefinite matrix (eigenvalues clipped at 0)."""
+    """Frobenius-nearest positive semidefinite matrix (eigenvalues clipped
+    at 0), or that of each member of a stack ``(B, n, n)``; the input
+    passes ``herm_eig``'s check."""
     sd = herm_eig(a)
     out = SpectralDecomp(np.clip(sd.eigenvalues, 0.0, None), sd.eigenvectors).reconstruct()
-    return (out + out.conj().T) / 2.0
+    return (out + np.swapaxes(out.conj(), -1, -2)) / 2.0
 
 
 def phase_normalize(v: np.ndarray, tol: float = 1e-12) -> np.ndarray:

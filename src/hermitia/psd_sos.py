@@ -14,7 +14,10 @@ every certificate's residual is its largest mismatch under that map.
 * CSOS: the mixed basis (x_1, conj x_1) (x) ... (x) (x_m, conj x_m), on
   which W is free.  Alternating projections between the psd cone and the
   affine coefficient-matching set search for it; infeasibility can only
-  be hinted at, never certified.
+  be hinted at, never certified.  The target is invariant under the phase
+  action x_k -> e^{i theta_k} x_k, so the search runs on the 2^m diagonal
+  blocks of basis rows with one pattern of x_k / conj x_k, an N-by-N stack
+  for N = n_1...n_m (the symmetry reduction of Gatermann & Parrilo).
 
 The psd verdict pipeline combines eigentuple witnesses (for refutation)
 with the holomorphic certificates, transferring complex certificates to
@@ -103,11 +106,15 @@ def _product_basis(dims, per_mode) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, rows.reshape(len(rows), -1).tolist()))
 
 
+@lru_cache(maxsize=32)
+def _shape_basis(dims: tuple[int, ...], mixed: bool) -> tuple[tuple[int, ...], ...]:
+    return _product_basis(dims, [np.eye(2 * n if mixed else n, 2 * n) for n in dims])
+
+
 def hol_basis(dims) -> tuple[tuple[int, ...], ...]:
     """Degree-(1, ..., 1) holomorphic monomials x_{1,i_1} ... x_{m,i_m},
     ordered like the multi-index enumeration."""
-    dims = core.check_dims(dims)
-    return _product_basis(dims, [np.eye(n, 2 * n) for n in dims])
+    return _shape_basis(core.check_dims(dims), False)
 
 
 def hsos_test(h: core.HermitianTensor, tols: core.Tolerances = core.TOL) -> HsosResult:
@@ -122,8 +129,7 @@ def hsos_test(h: core.HermitianTensor, tols: core.Tolerances = core.TOL) -> Hsos
 
 def csos_basis(dims) -> tuple[tuple[int, ...], ...]:
     """Kronecker basis (x_1, conj x_1) (x) ... (x) (x_m, conj x_m)."""
-    dims = core.check_dims(dims)
-    return _product_basis(dims, [np.eye(2 * n) for n in dims])
+    return _shape_basis(core.check_dims(dims), True)
 
 
 def _mode_monomials(n: int, degree: int) -> np.ndarray:
@@ -138,7 +144,7 @@ def _mode_monomials(n: int, degree: int) -> np.ndarray:
 
 
 def _group_sums(w: np.ndarray, gids: np.ndarray, ngroups: int) -> np.ndarray:
-    flat = w.reshape(-1)
+    flat, gids = w.reshape(-1), gids.reshape(-1)
     re = np.bincount(gids, weights=flat.real, minlength=ngroups)
     im = np.bincount(gids, weights=flat.imag, minlength=ngroups)
     return re + 1j * im
@@ -248,6 +254,31 @@ def _fixed_gram_test(h: core.HermitianTensor, basis, tols: core.Tolerances):
 # CSOS: Gram feasibility over the mixed basis
 
 
+@lru_cache(maxsize=32)
+def _charge_blocks(dims: tuple[int, ...]):
+    """The CSOS Gram problem on its charge blocks: (basis, its coefficient
+    map, rows, the map of the block stack, its group sizes).
+
+    Basis row p is x_k or conj x_k in each mode k; its charge pattern
+    records which.  Gram entries between rows of different patterns stand
+    for monomials of unequal degree in x_k and conj x_k, which the target
+    lacks, so some feasible W is zero off the 2^m diagonal blocks.
+    ``rows[c]`` lists the N basis rows of pattern c; the stack map's
+    ``gram_ids`` have the stack's shape (2^m, N, N), and every size is at
+    least 1 (groups off the blocks have no entry in the stack).
+    """
+    basis = _shape_basis(dims, True)
+    cmap = _coefficient_map(dims, basis)
+    b = np.asarray(basis, dtype=np.int64)
+    hol = np.add.reduceat(b[:, :sum(dims)], np.cumsum((0,) + dims[:-1]), axis=1)  # 1 at x_k, 0 at conj x_k
+    rows = np.argsort(hol @ (1 << np.arange(len(dims))), kind="stable").reshape(2 ** len(dims), -1)
+    ids = cmap.gram_ids.reshape(len(b), -1)[rows[:, :, None], rows[:, None, :]]
+    sizes = np.maximum(np.bincount(ids.reshape(-1), minlength=cmap.ngroups), 1)
+    for a in (rows, ids, sizes):
+        a.setflags(write=False)  # cached and shared by every caller
+    return basis, cmap, rows, cmap._replace(gram_ids=ids), sizes
+
+
 def csos_test(
     h: core.HermitianTensor,
     iters: int = CSOS_ITERS,
@@ -260,35 +291,36 @@ def csos_test(
     coefficients within ``gramTol * norm(h)``.  A stalled distance (checked with
     an averaged-step fallback) yields INFEASIBLE_HINT, which is a
     heuristic only; the iteration cap yields UNKNOWN.
+
+    The iterates stay on the 2^m charge blocks of ``_charge_blocks`` (the
+    start is zero off them, and both projections keep that), so each step
+    solves a (2^m, N, N) stack, N = n_1...n_m, instead of the K-by-K
+    matrix, K = 2^m N (Gatermann & Parrilo, JPAA 192, 2004).  The
+    certificate is the K-by-K W, zero off the blocks.
     """
-    basis = csos_basis(h.dims)
-    cmap = _coefficient_map(h.dims, basis)
-    gids = cmap.gram_ids
-    sizes = np.bincount(gids, minlength=cmap.ngroups)
+    basis, cmap, rows, blocks, sizes = _charge_blocks(h.dims)
+    gids = blocks.gram_ids
     targets = cmap.of_tensor(h)
     gram_tol = tols.gramTol * core.norm(h)
-    K = len(basis)
 
     def affine(w):
-        corr = (targets - cmap.of_gram(w)) / sizes
-        out = w + corr[gids].reshape(K, K)
-        return (out + out.conj().T) / 2.0
+        out = w + ((targets - blocks.of_gram(w)) / sizes)[gids]
+        return (out + np.swapaxes(out.conj(), -1, -2)) / 2.0
 
-    w = affine(np.zeros((K, K), dtype=np.complex128))
+    w = affine(np.zeros(gids.shape, dtype=np.complex128))
     dist_hist: list[float] = []
     averaged = False
     for it in range(1, iters + 1):
         p = linalg.psd_project(w)
-        res = cmap.residual(p, targets)
+        res = blocks.residual(p, targets)
         if res <= gram_tol:
-            return CsosResult("FEASIBLE", GramCertificate(h.dims, basis, p, res), it, res)
+            full = np.zeros((len(basis),) * 2, dtype=np.complex128)
+            full[rows[:, :, None], rows[:, None, :]] = p
+            res = cmap.residual(full, targets)
+            return CsosResult("FEASIBLE", GramCertificate(h.dims, basis, full, res), it, res)
         wa = affine(p)
-        dist = float(np.linalg.norm(wa - p))
-        dist_hist.append(dist)
-        if averaged:
-            w = (wa + p) / 2.0
-        else:
-            w = wa
+        dist_hist.append(float(np.linalg.norm(wa - p)))
+        w = (wa + p) / 2.0 if averaged else wa
         if len(dist_hist) >= 80 and res > 10.0 * gram_tol:
             recent, past = dist_hist[-1], dist_hist[-60]
             if past > 0 and recent >= past * (1.0 - 1e-5):
@@ -297,7 +329,7 @@ def csos_test(
                     dist_hist.clear()
                 else:
                     return CsosResult("INFEASIBLE_HINT", None, it, res)
-    return CsosResult("UNKNOWN", None, iters, cmap.residual(linalg.psd_project(w), targets))
+    return CsosResult("UNKNOWN", None, iters, blocks.residual(linalg.psd_project(w), targets))
 
 
 # ---------------------------------------------------------------------------

@@ -371,7 +371,8 @@ def separability_pipeline(
     [2,2], else by search.
 
     (1) Separable tensors have psd flattenings; a negative flattening
-    eigenvector q yields the auto-witness unflatten(q q*), which always
+    eigenvector q yields the auto-witness unflatten(q q*), built from the
+    Hermitian part of q q* so that it is exactly Hermitian, which always
     carries its own psd certificate.  (2) Real separability additionally
     requires real decomposability.  (3) On shape [2,2], Wootters' closed
     form: a psd tensor of concurrence 0 gets at most 4 product terms,
@@ -389,8 +390,8 @@ def separability_pipeline(
         raise ShapeMismatch(f"unknown field {field_name!r}")
     hs = psd_sos.hsos_test(a, tols)
     if not hs.is_hsos:
-        q = hs.eigenvector
-        b = flatten.hermitian_unflatten(np.outer(q, q.conj()), a.dims, tols)
+        qq = np.outer(hs.eigenvector, hs.eigenvector.conj())
+        b = flatten.hermitian_unflatten((qq + qq.conj().T) / 2.0, a.dims, tols)
         check = dual_witness_check(a, b, tols)
         if check.status == "ENTANGLED_WITNESS":
             return SepVerdict(

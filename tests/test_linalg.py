@@ -225,6 +225,21 @@ class TestPsdProject:
         twice = linalg.psd_project(once)
         assert np.linalg.norm(twice - once) < 1e-9 * (1 + np.linalg.norm(once))
 
+    def test_stack_matches_per_matrix_calls(self, rng):
+        for n in (2, 4, 9):
+            stack = np.array([random_hermitian_matrix(rng, n) for _ in range(5)])
+            out = linalg.psd_project(stack)
+            assert out.shape == stack.shape
+            for a, got in zip(stack, out):
+                assert np.abs(got - linalg.psd_project(a)).max() < 1e-12
+                assert np.array_equal(got, got.conj().T)
+
+    def test_stack_with_nonhermitian_member_rejected(self, rng):
+        stack = np.array([random_hermitian_matrix(rng, 3) for _ in range(3)])
+        stack[2, 0, 1] += 1.0
+        with pytest.raises(SymmetryViolation, match="stack member 2"):
+            linalg.psd_project(stack)
+
 
 class TestRank1Factor:
     def test_exact_rank1(self, rng):

@@ -45,6 +45,67 @@ class TestHsos:
             assert sum(exps[:4]) == 2 and sum(exps[4:]) == 0
 
 
+def dense_csos(h, iters=ps.CSOS_ITERS):
+    """Reference: the same alternating projections on the whole K-by-K
+    Gram matrix, blind to the charge blocks; (status, iterations, W)."""
+    basis = ps.csos_basis(h.dims)
+    cmap = ps._coefficient_map(h.dims, basis)
+    gids, k = cmap.gram_ids, len(basis)
+    sizes = np.bincount(gids, minlength=cmap.ngroups)
+    targets = cmap.of_tensor(h)
+    gram_tol = core.TOL.gramTol * core.norm(h)
+
+    def affine(w):
+        out = w + ((targets - cmap.of_gram(w)) / sizes)[gids].reshape(k, k)
+        return (out + out.conj().T) / 2.0
+
+    w, dists, averaged = affine(np.zeros((k, k), dtype=complex)), [], False
+    for it in range(1, iters + 1):
+        p = linalg.psd_project(w)
+        res = cmap.residual(p, targets)
+        if res <= gram_tol:
+            return "FEASIBLE", it, p
+        wa = affine(p)
+        dists.append(float(np.linalg.norm(wa - p)))
+        w = (wa + p) / 2.0 if averaged else wa
+        if len(dists) >= 80 and res > 10.0 * gram_tol and 0 < dists[-60]:
+            if dists[-1] >= dists[-60] * (1.0 - 1e-5):
+                if averaged:
+                    return "INFEASIBLE_HINT", it, None
+                averaged = True
+                dists.clear()
+    return "UNKNOWN", iters, None
+
+
+def conjugated_modes(mat, dims, modes):
+    """The tensor whose form is that of mat with x_k and conj x_k swapped
+    for k in modes (a partial transpose)."""
+    m = len(dims)
+    axes = list(range(2 * m))
+    for k in modes:
+        axes[k], axes[m + k] = m + k, k
+    return mat.reshape(dims * 2).transpose(axes).reshape(mat.shape)
+
+
+def csos_input(rng, dims, interior=True):
+    """A sum of squared moduli of forms in the mixed basis, so CSOS: three
+    rank-1 terms, each with random modes conjugated, and with ``interior``
+    the identity, which makes some Gram solution positive definite."""
+    n = core.size_of(dims)
+    mat = 0.2 * np.eye(n) if interior else np.zeros((n, n))
+    for _ in range(3):
+        a = random_unit(rng, n)
+        modes = [k for k in range(len(dims)) if rng.random() < 0.5]
+        mat = mat + conjugated_modes(np.outer(a, a.conj()), dims, modes)
+    return core.HermitianTensor(dims, mat)
+
+
+def charge(basis, dims):
+    """Per basis row, its degree in x_k for each mode k (1 or 0)."""
+    b = np.asarray(basis)
+    return np.add.reduceat(b[:, :sum(dims)], np.cumsum((0,) + dims[:-1]), axis=1)
+
+
 class TestCsos:
     def test_csos_example_feasible(self):
         res = ps.csos_test(csos_not_hsos_tensor())
@@ -72,6 +133,40 @@ class TestCsos:
             assert res.status == "FEASIBLE"
             assert ps.gram_reconstruct_residual(h, res.certificate) <= 1e-7
             assert linalg.herm_eig(res.certificate.W).eigenvalues[0] >= -1e-9
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (2, 2, 2)])
+    def test_matches_the_dense_iteration(self, rng, dims):
+        cases = [(csos_input(rng, dims), ps.CSOS_ITERS), (csos_input(rng, dims, False), 300),
+                 (core.HermitianTensor(dims, -np.eye(core.size_of(dims))), 1500)]
+        statuses = []
+        for h, iters in cases:
+            res = ps.csos_test(h, iters=iters)
+            status, it, w = dense_csos(h, iters)
+            assert (res.status, res.iterations) == (status, it)
+            if w is not None:
+                assert np.abs(res.certificate.W - w).max() <= 1e-10
+            statuses.append(status)
+        assert statuses[0] == "FEASIBLE" and statuses[2] == "INFEASIBLE_HINT"
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (2, 2, 2)])
+    def test_certificate_is_zero_off_the_charge_blocks(self, rng, dims):
+        res = ps.csos_test(csos_input(rng, dims))
+        assert res.status == "FEASIBLE"
+        c = charge(res.certificate.basis, dims)
+        off = np.any(c[:, None, :] != c[None, :, :], axis=2)
+        assert off.any() and np.all(res.certificate.W[off] == 0.0)
+        assert np.abs(res.certificate.W[~off]).max() > 0.0
+
+    @pytest.mark.parametrize("dims", [(2, 2, 2, 2), (3, 3, 3)])
+    def test_wide_bases_are_feasible(self, rng, dims):
+        h = csos_input(rng, dims)
+        res = ps.csos_test(h)
+        assert res.status == "FEASIBLE"
+        cert = res.certificate
+        assert cert.W.shape == (2 ** len(dims) * core.size_of(dims),) * 2
+        w = np.linalg.eigvalsh(cert.W)
+        assert w[0] >= -core.TOL.eigTol * np.abs(w).max()
+        assert res.residual == ps.gram_reconstruct_residual(h, cert) <= core.TOL.gramTol * core.norm(h)
 
 
 class TestGramResidualValidation:

@@ -179,7 +179,8 @@ def test_local_frame_keeps_hsos_and_bounds(name, tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # Relabelling: a mode permutation or entrywise conjugation of H is H in
 # other coordinates, so the Gram verdicts stand.  The coefficient map is
-# built one mode at a time, which is where a mode-order slip would hide.
+# built one mode at a time, and CSOS sorts its basis into charge blocks
+# by mode, which is where a mode-order slip would hide.
 
 
 def _relabelings(h):
@@ -199,9 +200,9 @@ def test_relabeling_keeps_gram_verdicts(name, tmp_path, capsys):
     path = tmp_path / "h.hten"
     powers = [1] + [0] * (h.order - 1)
     want = {verb: _run_json(verb, h, path, capsys)[0]
-            for verb in ("hsos", "bounds", "real-check", "omega", "psd")}
+            for verb in ("hsos", "bounds", "real-check", "csos", "omega", "psd")}
     for perm, g in _relabelings(h):
-        for verb in ("hsos", "bounds", "real-check"):
+        for verb in ("hsos", "bounds", "real-check", "csos"):
             assert _run_json(verb, g, path, capsys)[0] == want[verb], (perm, verb)
         for verb in ("omega", "psd"):
             got = _run_json(verb, g, path, capsys, [powers[p] for p in perm])[0]

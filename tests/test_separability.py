@@ -269,6 +269,18 @@ class TestPipeline:
         check = sep.dual_witness_check(hankel_tensor(), res.witness)
         assert check.status == "ENTANGLED_WITNESS"
 
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (2, 2, 2)])
+    def test_auto_witness_is_exactly_hermitian(self, rng, dims):
+        # a rank-1 term minus a larger one along another product vector:
+        # the flattening is indefinite, so the auto-witness answers
+        u, v = ([random_unit(rng, n) for n in dims] for _ in range(2))
+        a = core.HermitianTensor(dims, core.rank1(1.0, u).mat - core.rank1(2.0, v).mat)
+        res = sep.separability_pipeline(a, "COMPLEX", effort=1, seed=0)
+        assert res.status == "ENTANGLED_WITNESS"
+        b = res.witness.mat
+        assert np.array_equal(b, b.conj().T)
+        assert res.witness_certificate.residual == 0.0
+
     def test_identity_separable(self):
         res = sep.separability_pipeline(core.identity_tensor((2, 2)), "COMPLEX",
                                         effort=4, seed=0)
