@@ -20,9 +20,9 @@ every certificate's residual is its largest mismatch under that map.
   for N = n_1...n_m (the symmetry reduction of Gatermann & Parrilo).
 
 The psd verdict pipeline combines eigentuple witnesses (for refutation)
-with the holomorphic certificates, transferring complex certificates to
-the real field for real-decomposable tensors, where real and complex
-positivity agree.
+with the holomorphic certificates.  Over the reals it decides P(H)
+(``real_herm.real_form``), which agrees with H on real vectors and is
+real-decomposable, so H is psd over R exactly when P(H) is psd over C.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import core, linalg, real_herm, spectral
-from .errors import BasisTooLarge, RealityViolation, ShapeMismatch
+from .errors import BasisTooLarge, ShapeMismatch
 
 BASIS_CAP = 64
 CSOS_ITERS = 5000
@@ -303,22 +303,23 @@ def csos_test(
     targets = cmap.of_tensor(h)
     gram_tol = tols.gramTol * core.norm(h)
 
-    def affine(w):
-        out = w + ((targets - blocks.of_gram(w)) / sizes)[gids]
+    def affine(w, sums):  # sums: blocks.of_gram(w)
+        out = w + ((targets - sums) / sizes)[gids]
         return (out + np.swapaxes(out.conj(), -1, -2)) / 2.0
 
-    w = affine(np.zeros(gids.shape, dtype=np.complex128))
+    w = affine(np.zeros(gids.shape, dtype=np.complex128), 0.0)
     dist_hist: list[float] = []
     averaged = False
     for it in range(1, iters + 1):
         p = linalg.psd_project(w)
-        res = blocks.residual(p, targets)
+        sums = blocks.of_gram(p)
+        res = float(np.abs(sums - targets).max())
         if res <= gram_tol:
             full = np.zeros((len(basis),) * 2, dtype=np.complex128)
             full[rows[:, :, None], rows[:, None, :]] = p
             res = cmap.residual(full, targets)
             return CsosResult("FEASIBLE", GramCertificate(h.dims, basis, full, res), it, res)
-        wa = affine(p)
+        wa = affine(p, sums)
         dist_hist.append(float(np.linalg.norm(wa - p)))
         w = (wa + p) / 2.0 if averaged else wa
         if len(dist_hist) >= 80 and res > 10.0 * gram_tol:
@@ -374,18 +375,18 @@ def psd_verdict(
 
     Order of attack: eigentuple multistart for a strict negativity
     witness (value below ``-witTol * norm(h)``); then one ladder of
-    multiplier memberships by total power 0..``effort``.  Rung 0 is the
-    flattening, sufficient over both fields; higher rungs are complex
-    certificates, tried over the reals only for real-decomposable
-    tensors, where they transfer.  Otherwise UNKNOWN.
+    multiplier memberships by total power 0..``effort``, rung 0 being
+    the flattening.  Otherwise UNKNOWN.  For field = "REAL" all of it
+    runs on ``real_herm.real_form(h)``, P(H), which is psd over C exactly
+    when h is psd over R; witness and certificate are then those of P(H).
+    ``herm_eigenpair`` rejects any other field.
     """
-    if field not in ("COMPLEX", "REAL"):
-        raise ShapeMismatch(f"unknown field {field!r}")
+    if field == "REAL":
+        h = real_herm.real_form(h)
     search = spectral.herm_eigenpair(h, seed=seed, field=field, tols=tols)
     if search.tuples and search.tuples[0].value < -tols.witTol * core.norm(h):
         t = search.tuples[0]
         return PsdVerdict("NOT_PSD_WITNESS", field, witness=t.vectors, witness_value=t.value)
-    note = ""
     for total in range(effort + 1):
         for powers in (p for p in itertools.product(range(total + 1), repeat=h.order) if sum(p) == total):
             try:
@@ -393,17 +394,7 @@ def psd_verdict(
             except BasisTooLarge:
                 continue
             if res.status == "MEMBER":
-                found = (f"multiplier membership at powers {powers}" if total
-                         else "flattening psd (holomorphic sum of squares)")
                 return PsdVerdict("PSD_CERTIFIED", field, certificate=res.certificate,
-                                  note=found + (f"; {note}" if note else ""))
-        if total == 0 and field == "REAL":
-            try:
-                transfer = real_herm.is_real_decomposable(h, tols)[0]
-            except RealityViolation:
-                transfer = False
-            note = ("real-decomposable: complex certificates transfer" if transfer
-                    else "not real-decomposable: complex certificates do not transfer")
-            if not transfer:
-                break
-    return PsdVerdict("UNKNOWN", field, note=note)
+                                  note=(f"multiplier membership at powers {powers}" if total
+                                        else "flattening psd (holomorphic sum of squares)"))
+    return PsdVerdict("UNKNOWN", field)

@@ -65,10 +65,19 @@ def _witness_text(witness) -> str:
     return " vs ".join(label(I) + label(J) for I, J in (witness[:2], witness[2:]))
 
 
+def real_form(h: core.HermitianTensor) -> core.HermitianTensor:
+    """P(H): the real part of h averaged over swapping i_s and j_s in every
+    mode s.  It is real-decomposable and agrees with h on real vectors."""
+    arr = h.mat.real.reshape(h.dims + h.dims)
+    m = h.order
+    for s in range(m):
+        arr = (arr + arr.swapaxes(s, m + s)) / 2.0
+    return core.HermitianTensor(h.dims, arr.reshape(h.mat.shape))
+
+
 def real_decomposable_array(h: core.HermitianTensor, tols: core.Tolerances = core.TOL) -> np.ndarray:
-    """Real entry array, axes (i1..im, j1..jm), of a tensor that passes
-    ``is_real_decomposable``, averaged over swapping i_s and j_s in every
-    mode s, so that it is exactly real-decomposable.
+    """Real entry array, axes (i1..im, j1..jm), of ``real_form(h)`` for a
+    tensor that passes ``is_real_decomposable``: exactly real-decomposable.
 
     Raises ``NotRealDecomposable`` with the witness labels (``1122 vs
     1221``) when the test fails.
@@ -76,11 +85,7 @@ def real_decomposable_array(h: core.HermitianTensor, tols: core.Tolerances = cor
     ok, witness = is_real_decomposable(h, tols)
     if not ok:
         raise NotRealDecomposable(_witness_text(witness))
-    arr = h.mat.real.reshape(h.dims + h.dims)
-    m = h.order
-    for s in range(m):
-        arr = (arr + arr.swapaxes(s, m + s)) / 2.0
-    return arr
+    return real_form(h).as_array().real
 
 
 def dim_RD(dims) -> int:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import core, flatten, linalg
+from . import core, flatten, linalg, real_herm
 from .errors import ShapeMismatch
 
 DEDUP_VALUE_TOL = 1e-6
@@ -81,13 +81,6 @@ class EigenSearch:
     failed_starts: int
 
 
-def _field_modes(arr: np.ndarray, xs, k: int, field: str) -> np.ndarray:
-    mk = _mode_matrices(arr, xs, k)
-    if field == "REAL":
-        mk = (mk.real + np.swapaxes(mk.real, 1, 2)) / 2.0
-    return mk
-
-
 def _extreme_update(mk: np.ndarray, current: np.ndarray, largest: np.ndarray):
     """Extreme eigenpairs of stacked mode matrices, resolved toward the
     current vectors (row b takes the largest eigenvalue iff largest[b]).
@@ -108,16 +101,16 @@ def _extreme_update(mk: np.ndarray, current: np.ndarray, largest: np.ndarray):
     return lam, np.where(nv > 1e-8, proj / np.where(nv > 1e-8, nv, 1.0), first)
 
 
-def _residuals(arr, xs, lam, field) -> np.ndarray:
+def _residuals(arr, xs, lam) -> np.ndarray:
     """Stationarity residuals ||M_k x_k - lam x_k||, one row per sequence."""
     return np.stack([
-        np.linalg.norm((_field_modes(arr, xs, k, field) @ xs[k - 1][:, :, None])[:, :, 0]
+        np.linalg.norm((_mode_matrices(arr, xs, k) @ xs[k - 1][:, :, None])[:, :, 0]
                        - lam[:, None] * xs[k - 1], axis=1)
         for k in range(1, len(xs) + 1)
     ], axis=1)
 
 
-def _lockstep(h, x0, largest, field, tol, max_sweeps, hnorm) -> list[EigenTuple]:
+def _lockstep(h, x0, largest, tol, max_sweeps, hnorm) -> list[EigenTuple]:
     """Block-coordinate sequences advanced together, one per row of
     ``x0[s]`` (B, n_s); row b ascends iff largest[b].
 
@@ -129,7 +122,7 @@ def _lockstep(h, x0, largest, field, tol, max_sweeps, hnorm) -> list[EigenTuple]
     """
     arr = h.as_array() / (hnorm or 1.0)
     xs = [np.array(x, dtype=np.complex128) for x in x0]
-    m1 = _field_modes(arr, xs, 1, field)
+    m1 = _mode_matrices(arr, xs, 1)
     lam = np.real(np.einsum("bi,bij,bj->b", xs[0].conj(), m1, xs[0]))
     res = np.full((len(lam), h.order), np.nan)
     act = np.arange(len(lam))
@@ -139,17 +132,17 @@ def _lockstep(h, x0, largest, field, tol, max_sweeps, hnorm) -> list[EigenTuple]
         cur = [x[act] for x in xs]
         prev = lam[act]
         for k in range(1, h.order + 1):
-            mk = _field_modes(arr, cur, k, field)
+            mk = _mode_matrices(arr, cur, k)
             lk, cur[k - 1] = _extreme_update(mk, cur[k - 1], largest[act])
         for x, c in zip(xs, cur):
             x[act] = c
         lam[act] = lk
         conv = act[np.abs(lk - prev) <= 1e-12 * (1.0 + np.abs(lk))]
         if conv.size:
-            res[conv] = _residuals(arr, [x[conv] for x in xs], lam[conv], field)
+            res[conv] = _residuals(arr, [x[conv] for x in xs], lam[conv])
             act = act[~np.isin(act, conv[res[conv].max(axis=1) <= 0.05 * tol])]
     left = np.flatnonzero(np.isnan(res[:, 0]))  # never stationary: residuals at the end
-    res[left] = _residuals(arr, [x[left] for x in xs], lam[left], field)
+    res[left] = _residuals(arr, [x[left] for x in xs], lam[left])
     # no step above depends on the phases of the vectors; fix them once here
     xs = [linalg.phase_normalize(x) for x in xs]
     return [
@@ -169,12 +162,13 @@ def herm_eigenpair(
     """Multistart search for Hermitian eigentuples.
 
     Every start runs both an ascent and a descent block-coordinate
-    sequence from a random unit tuple (real starts and real-subspace
-    projection when field = "REAL"); all 2 * starts sequences advance in
-    lock-step.  Tuples whose stationarity residual exceeds ``eigTupleTol``
-    times ``norm(h)`` are dropped and counted as failures; survivors are
-    deduplicated up to per-mode phases (values within ``DEDUP_VALUE_TOL``
-    times ``norm(h)``) and sorted by eigenvalue.
+    sequence from a random unit tuple; all 2 * starts sequences advance in
+    lock-step.  For field = "REAL" the starts are real and h is replaced by
+    ``real_herm.real_form(h)``, whose mode matrices at real vectors are
+    real symmetric.  Tuples whose stationarity residual exceeds
+    ``eigTupleTol`` times ``norm(h)`` are dropped and counted as failures;
+    survivors are deduplicated up to per-mode phases (values within
+    ``DEDUP_VALUE_TOL`` times ``norm(h)``) and sorted by eigenvalue.
     """
     if field not in ("COMPLEX", "REAL"):
         raise ShapeMismatch(f"unknown field {field!r}")
@@ -187,8 +181,10 @@ def herm_eigenpair(
             v = rng.standard_normal(n) + (0.0 if field == "REAL" else 1j * rng.standard_normal(n))
             x0[s] += [v / np.linalg.norm(v)] * 2  # descent, then ascent
     largest = np.tile([False, True], starts)
+    if field == "REAL":
+        h = real_herm.real_form(h)
     hnorm = core.norm(h)
-    results = _lockstep(h, x0, largest, field, tols.eigTupleTol, max_sweeps, hnorm)
+    results = _lockstep(h, x0, largest, tols.eigTupleTol, max_sweeps, hnorm)
     kept: list[EigenTuple] = []
     failed = 0
     for tup in results:

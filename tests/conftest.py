@@ -26,6 +26,21 @@ def cr_psd_ii_tensor() -> core.HermitianTensor:
     return core.validate((2, 2), arr)
 
 
+def rpsd_tensor(rng, dims) -> core.HermitianTensor:
+    """psd over R, not over C: two real product terms plus 0.05 I, and
+    i c (p q^T - q p^T) for a complex product vector w = p + i q.  The
+    antisymmetric part vanishes on real vectors, and c makes
+    H(w, conj w) = -1/2, since w^* i (p q^T - q p^T) w = -2 gap."""
+    n = core.size_of(dims)
+    real = 0.05 * np.eye(n) + sum(core.rank1(1.0, [random_unit(rng, k, True) for k in dims]).mat
+                                  for _ in range(2))
+    w = core.kron_vector([random_unit(rng, k) for k in dims])
+    p, q = w.real, w.imag
+    gap = p @ p * (q @ q) - (p @ q) ** 2
+    c = (np.vdot(w, real @ w).real + 0.5) / (2.0 * gap)
+    return core.validate(dims, real + 1j * c * (np.outer(p, q) - np.outer(q, p)))
+
+
 def csos_not_hsos_tensor() -> core.HermitianTensor:
     """CSOS but not HSOS: 1111 = 2222 = 1221 = 2112 = 1."""
     arr = np.zeros((2, 2, 2, 2), dtype=complex)

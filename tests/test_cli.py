@@ -12,6 +12,7 @@ from conftest import (
     csos_not_hsos_tensor,
     hankel_tensor,
     hankel_witness,
+    rpsd_tensor,
     separable_62_matrix,
 )
 
@@ -188,7 +189,20 @@ def test_psd_verdict_exit(tmp_path):
     path = tmp_path / "cr.hten"
     hio.save_hten(path, cr_psd_ii_tensor())
     assert run(["psd", str(path), "--field", "COMPLEX", "--effort", "1"]) == 1
-    assert run(["psd", str(path), "--field", "REAL", "--effort", "0"]) in (0, 2)
+    assert run(["psd", str(path), "--field", "REAL", "--effort", "0"]) == 0
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (3, 3), (2, 2, 2)])
+def test_psd_real_certifies_real_psd_complex_indefinite(dims, tmp_path, capsys):
+    # not real-decomposable, so only P(H) decides it over R
+    path = tmp_path / "rpsd.hten"
+    hio.save_hten(path, rpsd_tensor(np.random.default_rng(1), dims))
+    assert run(["real-check", str(path)]) == 1
+    assert run(["psd", str(path), "--field", "COMPLEX"]) == 1
+    capsys.readouterr()
+    assert _json_run(["psd", str(path), "--field", "REAL"], capsys)[1] == {
+        "status": "PSD_CERTIFIED", "field": "REAL", "seed": 0,
+        "note": "flattening psd (holomorphic sum of squares)"}
 
 
 def test_sep_pipeline_writes_sepv(tmp_path, capsys):
@@ -617,15 +631,6 @@ def test_sep_search_rank_gate_honours_rank_tol(tmp_path, capsys):
     assert run(["sep-search", path, "--r", "1"]) == 0
     assert run(["--tol", "rankTol=1e-10", "sep-search", path, "--r", "1"]) == 2
     assert "flattening rank 2 exceeds the budget" in capsys.readouterr().out
-
-
-def test_psd_real_branch_honours_sym_tol(tmp_path, capsys):
-    # not HSOS (the 12/21 block is indefinite) and no negative value
-    path = str(_write(tmp_path, {"a": lambda: _near_real_cross([1, 0, 0, 1], 0.4)})["a"])
-    argv = ["psd", path, "--field", "REAL", "--effort", "0"]
-    notes = [_json_run([*tol, *argv], capsys)[1]["note"] for tol in ([], ["--tol", "symTol=1e-6"])]
-    assert notes == ["not real-decomposable: complex certificates do not transfer",
-                     "real-decomposable: complex certificates transfer"]
 
 
 def test_sep_pipeline_real_branch_honours_sym_tol(tmp_path, capsys):

@@ -5,10 +5,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hermitia import core, decomposition as dec, linalg, psd_sos as ps, separability as sep
+from hermitia import core, decomposition as dec, linalg, psd_sos as ps, real_herm, separability as sep
 from hermitia.errors import BasisTooLarge, ShapeMismatch
 
-from conftest import cr_psd_ii_tensor, csos_not_hsos_tensor, random_unit
+from conftest import cr_psd_ii_tensor, csos_not_hsos_tensor, random_unit, rpsd_tensor
 
 
 def random_psd_tensor(rng, dims, r):
@@ -400,7 +400,22 @@ class TestPsdVerdict:
 
     def test_cr_psd_ii_real_never_refuted(self):
         res = ps.psd_verdict(cr_psd_ii_tensor(), field="REAL", effort=2)
-        assert res.status in ("PSD_CERTIFIED", "UNKNOWN")
+        assert res.status == "PSD_CERTIFIED"
+
+    def test_real_field_runs_on_the_real_form(self, rng):
+        # certified at rung 0, refuted at a real witness, certified at
+        # powers (0, 2), and UNKNOWN
+        shifted = [core.validate((2, 2), csos_not_hsos_tensor().mat + t * np.eye(4)) for t in (0.2, 0.1)]
+        for h in [rpsd_tensor(rng, (2, 3)), core.random_hermitian((2, 2), 5)] + shifted:
+            p = real_herm.real_form(h)
+            got, want = (ps.psd_verdict(t, "REAL", effort=2, seed=3) for t in (h, p))
+            assert (got.status, got.note, got.witness_value) == (want.status, want.note, want.witness_value)
+            assert all(map(np.array_equal, got.witness or (), want.witness or ()))
+            assert (got.certificate is None) == (want.certificate is None)
+            if got.certificate is not None:
+                assert np.array_equal(got.certificate.W, want.certificate.W)
+        with pytest.raises(ShapeMismatch, match="unknown field 'QUATERNION'"):
+            ps.psd_verdict(p, "QUATERNION")
 
     def test_identity_certified(self):
         res = ps.psd_verdict(core.identity_tensor((2, 2)), field="COMPLEX", effort=1)
@@ -426,14 +441,3 @@ class TestPsdVerdict:
         # CSOS; multiplier search may or may not certify at low effort
         res = ps.psd_verdict(csos_not_hsos_tensor(), field="COMPLEX", effort=1)
         assert res.status in ("PSD_CERTIFIED", "UNKNOWN")
-
-
-def test_real_branch_propagates_unexpected_errors(monkeypatch):
-    from hermitia import real_herm
-
-    def broken(*args, **kwargs):
-        raise RuntimeError("bug in the reality check")
-
-    monkeypatch.setattr(real_herm, "is_real_decomposable", broken)
-    with pytest.raises(RuntimeError, match="bug in the reality check"):
-        ps.psd_verdict(cr_psd_ii_tensor(), field="REAL", effort=0)

@@ -4,7 +4,7 @@ import pytest
 from hermitia import core, decomposition as dec, flatten, real_herm as rh
 from hermitia.errors import NotRealDecomposable, NotShape22, RealityViolation
 
-from conftest import hankel_tensor
+from conftest import hankel_tensor, random_unit
 
 
 def random_real_decomposition(rng, dims, r):
@@ -82,6 +82,22 @@ class TestIsRealDecomposable:
         ok, witness = rh.is_real_decomposable(core.validate((16, 16), arr))
         assert not ok
         assert witness == ((3, 2), (7, 5), (3, 5), (7, 2))
+
+
+class TestRealForm:
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (2, 2, 2)])
+    def test_idempotent_real_decomposable_and_equal_on_real_vectors(self, dims, rng):
+        h = core.random_hermitian(dims, 3)
+        p = rh.real_form(h)
+        assert rh.real_form(p) == p
+        assert rh.is_real_decomposable(p) == (True, None)
+        for _ in range(5):
+            xs = [random_unit(rng, n, True) for n in dims]
+            assert abs(core.eval_poly(p, xs) - core.eval_poly(h, xs)) <= 1e-12 * core.norm(h)
+
+    def test_fixes_real_decomposable_tensors(self, rng):
+        h = dec.assemble(random_real_decomposition(rng, (2, 3), 4))
+        assert np.abs(rh.real_form(h).mat - h.mat).max() <= 1e-14 * core.norm(h)
 
 
 class TestDims:

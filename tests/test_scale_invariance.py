@@ -94,6 +94,17 @@ def _werner(dims, rng) -> core.HermitianTensor:
     return core.HermitianTensor(dims, q @ rho @ q.conj().T)
 
 
+def _real_psd_222() -> core.HermitianTensor:
+    """x_11^2 x_21^2 x_31^2 on real vectors, not psd over C.  The real
+    cross terms 111|122 and 112|121 meet only under a swap of mode 2 or
+    mode 3 alone, and the imaginary part vanishes on real vectors."""
+    arr = np.zeros((2,) * 6)
+    arr[0, 0, 0, 0, 0, 0] = 1.0
+    for i, j, c in (((0, 0, 0), (0, 1, 1), 1.0), ((0, 0, 1), (0, 1, 0), -1.0)):
+        arr[i + j] = arr[j + i] = c
+    return core.validate((2, 2, 2), arr.reshape(8, 8) + 0.5j * (np.eye(8, k=1) - np.eye(8, k=-1)))
+
+
 def _scale_inputs() -> dict:
     rng = np.random.default_rng(20261018)
     out = {}
@@ -108,6 +119,7 @@ def _scale_inputs() -> dict:
         out[f"werner-{'x'.join(map(str, dims))}"] = _werner(dims, rng)
     for dims in ((2, 3), (3, 3)):
         out[f"lowrank-{'x'.join(map(str, dims))}"] = _terms(dims, [1.0, -0.7], rng)
+    out["rpsd-2x2x2"] = _real_psd_222()
     return out
 
 
@@ -178,9 +190,10 @@ def test_local_frame_keeps_hsos_and_bounds(name, tmp_path, capsys):
 
 # ---------------------------------------------------------------------------
 # Relabelling: a mode permutation or entrywise conjugation of H is H in
-# other coordinates, so the Gram verdicts stand.  The coefficient map is
-# built one mode at a time, and CSOS sorts its basis into charge blocks
-# by mode, which is where a mode-order slip would hide.
+# other coordinates, so the verdicts stand.  The coefficient map is built
+# one mode at a time, CSOS sorts its basis into charge blocks by mode, and
+# P(H) averages one mode at a time, which is where a mode-order slip would
+# hide.
 
 
 def _relabelings(h):
@@ -199,10 +212,12 @@ def test_relabeling_keeps_gram_verdicts(name, tmp_path, capsys):
     h = INPUTS[name]
     path = tmp_path / "h.hten"
     powers = [1] + [0] * (h.order - 1)
-    want = {verb: _run_json(verb, h, path, capsys)[0]
-            for verb in ("hsos", "bounds", "real-check", "csos", "omega", "psd")}
+    # psd-real also guards that P(H) commutes with relabelling
+    exact = ("hsos", "bounds", "real-check", "csos", "eig", "sep-pipeline", "jennrich",
+             "unitary-check", "psd-real")
+    want = {verb: _run_json(verb, h, path, capsys)[0] for verb in exact + ("omega", "psd")}
     for perm, g in _relabelings(h):
-        for verb in ("hsos", "bounds", "real-check", "csos"):
+        for verb in exact:
             assert _run_json(verb, g, path, capsys)[0] == want[verb], (perm, verb)
         for verb in ("omega", "psd"):
             got = _run_json(verb, g, path, capsys, [powers[p] for p in perm])[0]

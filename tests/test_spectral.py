@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hermitia import core, decomposition as dec, linalg, spectral as sp
+from hermitia import core, decomposition as dec, linalg, real_herm, spectral as sp
 from hermitia.errors import ShapeMismatch
 
 from conftest import cr_psd_ii_tensor, random_unit
@@ -115,6 +115,16 @@ class TestHermEigenpair:
         found = [t.value for t in search.tuples]
         assert min(found) == pytest.approx(w[0], abs=1e-8)
         assert max(found) == pytest.approx(w[-1], abs=1e-8)
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (2, 2, 2)])
+    def test_real_field_runs_on_the_real_form(self, dims):
+        h = core.random_hermitian(dims, 4)
+        got, want = (sp.herm_eigenpair(t, seed=2, field="REAL") for t in (h, real_herm.real_form(h)))
+        assert got.failed_starts == want.failed_starts
+        assert [t.value for t in got.tuples] == [t.value for t in want.tuples]
+        for a, b in zip(got.tuples, want.tuples):
+            assert all(np.array_equal(u, v) and not u.imag.any() for u, v in zip(a.vectors, b.vectors))
+            assert abs(core.eval_poly(h, a.vectors) - a.value) <= 1e-12 * core.norm(h)
 
 
 class TestOrthogonalDecompose:
