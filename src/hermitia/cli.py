@@ -183,7 +183,7 @@ def _arg(*flags, **kwargs):
 
 _OUT = _arg("--out")
 _GRAM_OUT = _arg("--out", help="write the Gram certificate as a GRAM record")
-_FIELD = _arg("--field", choices=["COMPLEX", "REAL"], default="COMPLEX")
+_FIELD = _arg("--field", choices=core.FIELDS, default="COMPLEX")
 _DIMS = _arg("--dims", required=True, type=_tensor_shape_arg)
 
 
@@ -355,7 +355,7 @@ def _sep_witness(h, args, tols):
 
 
 @_verb("sep-search", _arg("--r", type=_int_at_least(1), required=True),
-       _arg("--iters", type=_int_at_least(0), default=200), _OUT)
+       _arg("--iters", type=_int_at_least(0), default=separability.SEARCH_ITERS), _OUT)
 def _sep_search(h, args, tols):
     res = separability.separable_search(h, args.r, seed=args.seed, iters=args.iters, tols=tols)
     report = {"status": res.status, "note": res.note, "seed": args.seed}

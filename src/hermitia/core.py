@@ -161,13 +161,25 @@ def validate(dims, raw, tols: Tolerances = TOL) -> HermitianTensor:
     arr = _coerce_entries(dims, raw)
     if not (np.all(np.isfinite(arr.real)) and np.all(np.isfinite(arr.imag))):
         raise ShapeMismatch("entries must be finite (no NaN/Inf)")
-    dev = np.max(np.abs(arr - arr.conj().T)) if arr.size else 0.0
+    check_hermitian(arr, tols, "tensor")
+    return HermitianTensor(dims, (arr + arr.conj().T) / 2.0)
+
+
+def check_hermitian(arr: np.ndarray, tols: Tolerances, what: str) -> None:
+    """Raise ``SymmetryViolation`` unless the square matrix ``arr`` is
+    Hermitian entrywise within ``symTol`` times its Frobenius norm."""
+    dev = float(np.abs(arr - arr.conj().T).max()) if arr.size else 0.0
     bound = tols.symTol * float(np.linalg.norm(arr))
     if dev > bound:
-        raise SymmetryViolation(
-            f"conjugate symmetry violated: max |H[I,J] - conj(H[J,I])| = {dev:.3e} > {bound:.1e}"
-        )
-    return HermitianTensor(dims, (arr + arr.conj().T) / 2.0)
+        raise SymmetryViolation(f"{what} is not Hermitian: max |A - A*| = {dev:.3e} > {bound:.1e}")
+
+
+FIELDS = ("COMPLEX", "REAL")
+
+
+def check_field(name: str) -> None:
+    if name not in FIELDS:
+        raise ShapeMismatch(f"unknown field {name!r}")
 
 
 def zero_tensor(dims) -> HermitianTensor:

@@ -85,6 +85,12 @@ def residual(d: HermitianDecomposition, h: core.HermitianTensor) -> float:
     return float(np.linalg.norm(assemble(d).mat - h.mat))
 
 
+def fits(d: HermitianDecomposition, h: core.HermitianTensor, tol: float) -> bool:
+    """True iff d reassembles h within ``tol * norm(h)``: the one rule of
+    every decomposition gate (``cpTol``, ``rdTol``, ``sepTol``)."""
+    return residual(d, h) <= tol * core.norm(h)
+
+
 def normalize(d: HermitianDecomposition) -> HermitianDecomposition:
     """Scale vectors to unit norm with real positive leading entries.
 
@@ -228,26 +234,32 @@ def jennrich_decompose(
     degenerate or the residual stays above ``cpTol * norm(h)``; the rank
     of the first unfolding, at ``rankTol``, caps the term count.
     """
-    hnorm = core.norm(h)
     cubic = flatten.cubic_flatten(h)
-    n1, n2, n3 = cubic.dims
+    n3 = cubic.dims[2]
     if not 1 <= rmax <= n3:
         raise RankBudgetExceeded(f"rmax = {rmax} outside the regime 1 <= r <= N3 = {n3}")
-
     if h.order == 1:
         # matrix case: the spectral decomposition already is the answer
         pairs = linalg.herm_part_eig(h.mat).kept(1e-12)
         pairs.sort(key=lambda p: -abs(p[0]))
         terms = tuple((w, (linalg.phase_normalize(v),)) for w, v in pairs[:rmax])
-        d = HermitianDecomposition(h.dims, terms)
-        if residual(d, h) > tols.cpTol * hnorm:
-            return Unknown("residual above tolerance at the requested rank budget")
-        return d
+    else:
+        terms = _jennrich_terms(h, cubic, rmax, seed, tols)
+        if isinstance(terms, Unknown):
+            return terms
+    d = HermitianDecomposition(h.dims, terms)
+    if not fits(d, h, tols.cpTol):
+        return Unknown("residual above tolerance at the requested rank budget")
+    return d
 
+
+def _jennrich_terms(h, cubic, rmax, seed, tols) -> tuple[Term, ...] | Unknown:
+    """The terms of ``jennrich_decompose`` on an order m >= 2 tensor."""
+    n1, n2, n3 = cubic.dims
     unfold1 = cubic.array.reshape(n1, n2 * n3)
     r = min(rmax, linalg.matrix_rank(unfold1, tols.rankTol))
     if r == 0:
-        return HermitianDecomposition(h.dims, ())
+        return ()
 
     rng = np.random.Generator(np.random.PCG64(seed))
     w1 = rng.standard_normal(n3)
@@ -273,11 +285,7 @@ def jennrich_decompose(
 
     tuples = [vs for _, vs in normalize(HermitianDecomposition(h.dims, tuple(found))).terms]
     lams = _fit_coefficients(h, tuples)
-    terms = tuple((float(lam), vs) for lam, vs in zip(lams, tuples) if abs(lam) > 1e-12 * hnorm)
-    d = HermitianDecomposition(h.dims, terms)
-    if residual(d, h) > tols.cpTol * hnorm:
-        return Unknown("residual above tolerance at the requested rank budget")
-    return d
+    return tuple((float(lam), vs) for lam, vs in zip(lams, tuples) if abs(lam) > 1e-12 * core.norm(h))
 
 
 def _jennrich_factors(unfold1: np.ndarray, t1: np.ndarray, t2: np.ndarray, r: int):

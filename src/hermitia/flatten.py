@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core, linalg
-from .errors import OrderTooSmall, ShapeMismatch, SymmetryViolation
+from .errors import OrderTooSmall, ShapeMismatch
 
 HERMITIAN_M = "HERMITIAN_M"
 KRONECKER_K = "KRONECKER_K"
@@ -88,9 +88,7 @@ def hermitian_unflatten(mat, dims, tols: core.Tolerances = core.TOL) -> core.Her
     arr = _as_m_matrix(mat)
     if arr.shape != (n, n):
         raise ShapeMismatch(f"matrix has shape {arr.shape}, expected {(n, n)} for {dims}")
-    dev = float(np.abs(arr - arr.conj().T).max()) if arr.size else 0.0
-    if dev > tols.symTol * float(np.linalg.norm(arr)):
-        raise SymmetryViolation(f"matrix is not Hermitian: deviation {dev:.3e}")
+    core.check_hermitian(arr, tols, "matrix")
     return core.HermitianTensor(dims, arr)
 
 
@@ -162,15 +160,8 @@ def verify_M_rank(mat, d, rel_tol: float = 1e-9) -> bool:
     """Check that a decomposition writes ``mat`` as a sum of Kronecker
     products of rank-1 Hermitian matrices, certifying its structured rank
     (and hence the Hermitian rank of the unflattened tensor) is at most
-    the term count."""
-    from .decomposition import assemble  # decomposition imports this module
+    the term count: ``decomposition.fits`` at ``rel_tol``."""
+    from .decomposition import fits  # decomposition imports this module
 
-    arr = _as_m_matrix(mat)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ShapeMismatch(f"expected a square matrix, got {arr.shape}")
-    n = core.size_of(d.dims)
-    if arr.shape[0] != n:
-        raise ShapeMismatch(f"matrix size {arr.shape[0]} does not match shape {d.dims}")
-    acc = assemble(d).mat
-    scale = float(np.linalg.norm(arr))
-    return float(np.linalg.norm(acc - arr)) <= rel_tol * max(scale, 1e-300)
+    # mat is kept as given: an anti-Hermitian part counts in the residual
+    return fits(d, core.HermitianTensor(d.dims, _as_m_matrix(mat)), rel_tol)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core, linalg
-from .decomposition import HermitianDecomposition, residual
+from .decomposition import HermitianDecomposition, fits, residual
 from .errors import ConstructionFailed, NotRealDecomposable, NotShape22, RealityViolation
 
 SHIFT_EPS = 1e-6
@@ -140,9 +140,8 @@ def real_decompose(h: core.HermitianTensor, tols: core.Tolerances = core.TOL) ->
     arr = real_decomposable_array(h, tols)
     terms = tuple((lam, tuple(vs)) for lam, vs in _decompose_recursive(arr, h.dims))
     d = HermitianDecomposition(h.dims, terms)
-    res = residual(d, h)
-    if res > tols.rdTol * max(core.norm(h), 1e-300):
-        raise ConstructionFailed(f"real decomposition residual {res:.3e} above tolerance")
+    if not fits(d, h, tols.rdTol):
+        raise ConstructionFailed(f"real decomposition residual {residual(d, h):.3e} above tolerance")
     return d
 
 
@@ -275,8 +274,10 @@ def real_decompose_22(h: core.HermitianTensor, tols: core.Tolerances = core.TOL)
         we, ve = _sym_eig2((e_mat + e_mat.T) / 2.0)
         terms.append((s, (np.array([1.0, s * d1], dtype=np.complex128), e1)))
         terms.append((s, (np.array([1.0, s * d2], dtype=np.complex128), e2)))
+        # e_mat is a difference, so its rounding is relative to the operands
+        cut = 1e-12 * max(float(np.abs(nf.Btilde).max()), d1 * d1, d2 * d2)
         for i in range(2):
-            if abs(we[i]) > 1e-14 * max(1.0, float(np.abs(we).max())):
+            if abs(we[i]) > cut:
                 terms.append((float(we[i]), (e2, ve[:, i].astype(np.complex128))))
         if float(np.linalg.norm(nf.u)) > 0.0:
             terms.append((-s, (e1, nf.u.astype(np.complex128))))
@@ -287,7 +288,6 @@ def real_decompose_22(h: core.HermitianTensor, tols: core.Tolerances = core.TOL)
         for lam, (x1, x2) in terms
     )
     d = HermitianDecomposition(h.dims, pulled)
-    res = residual(d, h)
-    if res > tols.rdTol * max(core.norm(h), 1e-300):
-        raise ConstructionFailed(f"[2,2] decomposition residual {res:.3e} above tolerance")
+    if not fits(d, h, tols.rdTol):
+        raise ConstructionFailed(f"[2,2] decomposition residual {residual(d, h):.3e} above tolerance")
     return d

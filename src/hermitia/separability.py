@@ -14,9 +14,9 @@ that A is entangled.  Verification routes:
 * an alternating least-squares search for positive rank-1 terms
   (a heuristic: UNKNOWN on failure, never a refutation).
 
-For real-decomposable tensors a complex separability certificate
-transfers to the real field by expanding every vector into its real and
-imaginary parts.
+Over the reals a certificate is split into the real and imaginary parts
+of its vectors, which assembles P(assemble(d)) (``real_herm.real_form``),
+and must then pass the same check.
 """
 
 from __future__ import annotations
@@ -28,10 +28,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import core, flatten, linalg, psd_sos, real_herm, spectral
-from .decomposition import HermitianDecomposition, normalize, residual
+from .decomposition import HermitianDecomposition, fits, normalize
 from .errors import BlockNotPsd, NotRealDecomposable, RealityViolation, ShapeMismatch, SymmetryViolation
 
 SEARCH_STARTS = 8
+SEARCH_ITERS = 200
 
 
 @dataclass(frozen=True)
@@ -69,10 +70,6 @@ class PsdKronDecomp:
         object.__setattr__(self, "terms", tuple(cooked))
 
 
-def _vectors_real(vectors) -> bool:
-    return all(bool(np.all(v.imag == 0.0)) for v in vectors)
-
-
 def verify_positive_decomposition(
     d: HermitianDecomposition,
     a: core.HermitianTensor,
@@ -81,13 +78,14 @@ def verify_positive_decomposition(
 ) -> bool:
     """True iff d has positive coefficients and reassembles a within
     sepTol * norm(a) (real vectors required for the REAL field)."""
+    core.check_field(field_name)
     if d.dims != a.dims:
         raise ShapeMismatch(f"shapes differ: {d.dims} vs {a.dims}")
     if any(lam <= 0.0 for lam, _ in d.terms):
         return False
-    if field_name == "REAL" and not all(_vectors_real(vs) for _, vs in d.terms):
+    if field_name == "REAL" and any(np.any(v.imag != 0.0) for _, vs in d.terms for v in vs):
         return False
-    return residual(d, a) <= tols.sepTol * max(core.norm(a), 1e-300)
+    return fits(d, a, tols.sepTol)
 
 
 def psd_kron_verify(
@@ -116,9 +114,7 @@ def psd_kron_to_decomposition(pk: PsdKronDecomp, tols: core.Tolerances = core.TO
     for blocks in pk.terms:
         per_mode = []
         for b in blocks:
-            dev, bound = float(np.abs(b - b.conj().T).max()), tols.symTol * float(np.linalg.norm(b))
-            if dev > bound:
-                raise SymmetryViolation(f"block is not Hermitian: deviation {dev:.3e} > {bound:.1e}")
+            core.check_hermitian(b, tols, "block")
             sd = linalg.herm_part_eig(b)
             if not sd.is_psd(tols.eigTol):
                 raise BlockNotPsd(f"block has eigenvalue {sd.eigenvalues[0]:.3e}")
@@ -156,7 +152,7 @@ def separable_search(
     a: core.HermitianTensor,
     r: int,
     seed: int,
-    iters: int = 200,
+    iters: int = SEARCH_ITERS,
     starts: int = SEARCH_STARTS,
     tols: core.Tolerances = core.TOL,
 ) -> SepVerdict:
@@ -275,10 +271,12 @@ def _random_unit(rng, n: int) -> np.ndarray:
 def realify_decomposition(d: HermitianDecomposition) -> HermitianDecomposition:
     """Expand complex vectors into real/imaginary parts per mode.
 
-    For positive coefficients this preserves the assembled tensor on the
-    real-decomposable subspace, turning a complex positive decomposition
-    of a real-decomposable tensor into a real one (terms with a vanished
-    part are dropped).
+    assemble(realify_decomposition(d)) = real_herm.real_form(assemble(d)),
+    P of the assembled tensor, for any real coefficients: with v = x + iy,
+    v v* = x x^T + y y^T + i (y x^T - x y^T), and P keeps the real part
+    symmetrized in every mode, so each term becomes the product of its
+    modes' x x^T + y y^T.  Coefficients keep their signs, and a vanished
+    part contributes no term.
     """
     terms = []
     for lam, vectors in d.terms:
@@ -364,7 +362,6 @@ def separability_pipeline(
     field_name: str = "COMPLEX",
     effort: int = 4,
     seed: int = 0,
-    iters: int = 200,
     tols: core.Tolerances = core.TOL,
 ) -> SepVerdict:
     """Necessary checks, then a positive decomposition: in closed form on
@@ -375,19 +372,17 @@ def separability_pipeline(
     Hermitian part of q q* so that it is exactly Hermitian, which always
     carries its own psd certificate.  (2) Real separability additionally
     requires real decomposability.  (3) On shape [2,2], Wootters' closed
-    form: a psd tensor of concurrence 0 gets at most 4 product terms,
-    and is certified when they pass ``verify_positive_decomposition``
-    (for REAL, after the split into real and imaginary parts).  A [2,2]
-    tensor of positive concurrence is entangled, but no dual certificate
-    is produced; it goes on to the search.  (4) Alternating search at
-    rank budgets 1..effort, all run in lock-step; a budget stops once a
-    smaller one has a fitted start, and the smallest budget that
-    certifies wins.  For the REAL field its complex certificate is split
-    into real and imaginary parts; if the split fails the ``sepTol``
-    check, the answer is UNKNOWN.
+    form: a psd tensor of concurrence 0 gets at most 4 product terms.  A
+    [2,2] tensor of positive concurrence is entangled, but no dual
+    certificate is produced; it goes on to the search.  (4) Alternating
+    search at rank budgets 1..effort (``SEARCH_ITERS`` sweeps), all run in
+    lock-step; a budget stops once a smaller one has a fitted start, and
+    the smallest budget that fits gives the certificate.  Both (3) and (4)
+    leave through ``_certify``: for REAL the terms are split into real and
+    imaginary parts, then ``verify_positive_decomposition`` decides; a
+    search certificate that fails it ends UNKNOWN.
     """
-    if field_name not in ("COMPLEX", "REAL"):
-        raise ShapeMismatch(f"unknown field {field_name!r}")
+    core.check_field(field_name)
     hs = psd_sos.hsos_test(a, tols)
     if not hs.is_hsos:
         qq = np.outer(hs.eigenvector, hs.eigenvector.conj())
@@ -413,28 +408,23 @@ def separability_pipeline(
             )
     if a.dims == (2, 2):
         d = _wootters(a, tols)
-        if field_name == "REAL":
-            d = realify_decomposition(d)
-        if verify_positive_decomposition(d, a, field_name, tols):
-            return SepVerdict("SEPARABLE_CERTIFIED", field_name, decomposition=d,
-                              note=f"concurrence 0: Wootters' closed form, {len(d)} product terms")
+        note = f"concurrence 0: Wootters' closed form, {len(d)} product terms"
+        if (found := _certify(a, d, field_name, note, tols)).status == "SEPARABLE_CERTIFIED":
+            return found
     seeds = {r: seed + r for r in range(1, max(1, effort) + 1)}
-    for r, found in _budget_search(a, seeds, iters, SEARCH_STARTS, tols).items():
-        if found.status != "SEPARABLE_CERTIFIED":
-            continue
-        if field_name == "COMPLEX":
-            return SepVerdict("SEPARABLE_CERTIFIED", "COMPLEX", decomposition=found.decomposition,
-                              note=f"alternating search succeeded at r={r}")
-        # splitting is the orthogonal projection P onto the real-decomposable
-        # subspace, so ||P(fit) - a||^2 <= ||fit - a||^2 + ||a - P(a)||^2: a
-        # fitted start (0.2 * sepTol) transfers unless a lies within
-        # (0.98, 1) * sepTol * norm(a) of that subspace.  There a larger
-        # budget's tighter fit might transfer, but larger budgets have
-        # stopped; the answer is UNKNOWN, never a wrong verdict.
-        realified = realify_decomposition(found.decomposition)
-        if verify_positive_decomposition(realified, a, "REAL", tols):
-            return SepVerdict("SEPARABLE_CERTIFIED", "REAL", decomposition=realified,
-                              note=f"complex certificate at r={r} transferred by vector splitting")
-        return SepVerdict("UNKNOWN", "REAL",
-                          note=f"complex certificate at r={r} does not transfer to the real field")
+    for r, found in _budget_search(a, seeds, SEARCH_ITERS, SEARCH_STARTS, tols).items():
+        if found.status == "SEPARABLE_CERTIFIED":
+            return _certify(a, found.decomposition, field_name, f"alternating search succeeded at r={r}", tols)
     return SepVerdict("UNKNOWN", field_name, note=f"search exhausted rank budgets 1..{effort}")
+
+
+def _certify(a, d, field_name, note, tols) -> SepVerdict:
+    """The pipeline's one certificate exit: d, split into real and
+    imaginary parts for the REAL field, must pass
+    ``verify_positive_decomposition``; else the verdict is UNKNOWN."""
+    if field_name == "REAL":
+        d = realify_decomposition(d)
+    if verify_positive_decomposition(d, a, field_name, tols):
+        return SepVerdict("SEPARABLE_CERTIFIED", field_name, decomposition=d, note=note)
+    return SepVerdict("UNKNOWN", field_name,
+                      note=f"{note}, but its {field_name} certificate fails the positive-decomposition check")

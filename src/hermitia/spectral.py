@@ -110,7 +110,7 @@ def _residuals(arr, xs, lam) -> np.ndarray:
     ], axis=1)
 
 
-def _lockstep(h, x0, largest, tol, max_sweeps, hnorm) -> list[EigenTuple]:
+def _lockstep(h, x0, largest, tol, hnorm) -> list[EigenTuple]:
     """Block-coordinate sequences advanced together, one per row of
     ``x0[s]`` (B, n_s); row b ascends iff largest[b].
 
@@ -126,7 +126,7 @@ def _lockstep(h, x0, largest, tol, max_sweeps, hnorm) -> list[EigenTuple]:
     lam = np.real(np.einsum("bi,bij,bj->b", xs[0].conj(), m1, xs[0]))
     res = np.full((len(lam), h.order), np.nan)
     act = np.arange(len(lam))
-    for _ in range(max_sweeps):
+    for _ in range(MAX_BLOCK_SWEEPS):
         if act.size == 0:
             break
         cur = [x[act] for x in xs]
@@ -157,7 +157,6 @@ def herm_eigenpair(
     field: str = "COMPLEX",
     starts: int = DEFAULT_STARTS,
     tols: core.Tolerances = core.TOL,
-    max_sweeps: int = MAX_BLOCK_SWEEPS,
 ) -> EigenSearch:
     """Multistart search for Hermitian eigentuples.
 
@@ -170,8 +169,7 @@ def herm_eigenpair(
     survivors are deduplicated up to per-mode phases (values within
     ``DEDUP_VALUE_TOL`` times ``norm(h)``) and sorted by eigenvalue.
     """
-    if field not in ("COMPLEX", "REAL"):
-        raise ShapeMismatch(f"unknown field {field!r}")
+    core.check_field(field)
     if starts < 1:
         raise ShapeMismatch("starts must be >= 1")
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -184,7 +182,7 @@ def herm_eigenpair(
     if field == "REAL":
         h = real_herm.real_form(h)
     hnorm = core.norm(h)
-    results = _lockstep(h, x0, largest, tols.eigTupleTol, max_sweeps, hnorm)
+    results = _lockstep(h, x0, largest, tols.eigTupleTol, hnorm)
     kept: list[EigenTuple] = []
     failed = 0
     for tup in results:

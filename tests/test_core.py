@@ -344,6 +344,14 @@ class TestTolerances:
         with pytest.raises(SymmetryViolation):
             core.validate((2,), [[1, 1], [0, 1]], core.Tolerances(symTol=0.5))
 
+    @pytest.mark.parametrize("scale", [4.0 ** -20, 1.0, 4.0 ** 20])
+    def test_one_hermitian_rule_at_every_scale(self, scale):
+        # validate, hermitian_unflatten and the psd-Kronecker blocks share it
+        arr = scale * np.array([[1.0, 1.0 + 1e-8], [1.0, 1.0]])
+        core.check_hermitian(arr, core.Tolerances(symTol=1e-8), "matrix")
+        with pytest.raises(SymmetryViolation, match="matrix is not Hermitian"):
+            core.check_hermitian(arr, core.Tolerances(symTol=1e-9), "matrix")
+
     def test_zero_and_default_fields_are_valid(self):
         assert core.Tolerances(**{f.name: 0.0 for f in dataclasses.fields(core.Tolerances)})
         assert core.TOL == core.Tolerances()

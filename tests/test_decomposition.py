@@ -71,6 +71,21 @@ class TestResidual:
             assert dec.residual(pert, h) == pytest.approx(eps * term_norm, rel=1e-6)
 
 
+class TestFits:
+    @pytest.mark.parametrize("scale", [4.0 ** -20, 1.0, 4.0 ** 20])
+    def test_relative_to_the_norm(self, rng, scale):
+        vs = (random_unit(rng, 2), random_unit(rng, 2))
+        h = core.rank1(scale, vs)
+        off = dec.HermitianDecomposition((2, 2), ((scale * (1.0 + 1e-6), vs),))
+        assert dec.fits(off, h, 2e-6) and not dec.fits(off, h, 5e-7)
+
+    def test_zero_tensor_has_no_floor(self):
+        z = core.zero_tensor((2, 2))
+        assert dec.fits(dec.HermitianDecomposition((2, 2), ()), z, 0.0)
+        tiny = dec.HermitianDecomposition((2, 2), ((1e-100, (np.ones(2), np.ones(2))),))
+        assert not dec.fits(tiny, z, 1e300)
+
+
 class TestNormalize:
     def test_fixed_point(self):
         e1 = np.array([1.0, 0.0], dtype=complex)

@@ -271,3 +271,15 @@ class TestRealDecompose22:
         z = core.zero_tensor((2, 2))
         assert len(rh.real_decompose(z)) == 0
         assert len(rh.real_decompose_22(z)) == 0
+
+    @pytest.mark.parametrize("scale", [1.0, 4.0 ** 6, 2.0 ** 40])
+    def test_no_rounding_term_above_the_flattening_bound(self, scale):
+        # two real product terms: the normal form's e-block is 0 up to
+        # rounding, and rounding adds no term beyond the flattening bound
+        rng = np.random.default_rng(37)
+        cs = rng.choice([1e-12, 1.0]) * rng.uniform(0.5, 3, 2) * rng.choice([-1, 1], 2)
+        mat = sum(core.rank1(c, [rng.standard_normal(2), rng.standard_normal(2)]).mat for c in cs)
+        h = core.HermitianTensor((2, 2), scale * mat)
+        d = rh.real_decompose_22(h)
+        assert len(d) == flatten.hrank_lower_bound(h).bound == 2
+        assert dec.fits(d, h, 1e-8)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hermitia import core, decomposition as dec, flatten, separability as sep
+from hermitia import core, decomposition as dec, flatten, real_herm, separability as sep, spectral
 from hermitia.errors import BlockNotPsd, NonRealInner, ShapeMismatch, SymmetryViolation
 
 from conftest import hankel_tensor, hankel_witness, random_unit, random_unitary, separable_62_matrix
@@ -310,7 +310,6 @@ class TestPipeline:
             ),
         )
         assert dec.residual(phased, a) <= 1e-12
-        from hermitia import real_herm
         assert real_herm.is_real_decomposable(a)[0]
         r = sep.realify_decomposition(phased)
         assert sep.verify_positive_decomposition(r, a, "REAL")
@@ -423,10 +422,37 @@ def test_real_transfer_failure_is_unknown(monkeypatch):
     monkeypatch.setattr(sep, "realify_decomposition", lambda d: split.append(d) or d)
     got = sep.separability_pipeline(a, "REAL", effort=4, seed=0)
     assert (got.status, got.field, got.decomposition) == ("UNKNOWN", "REAL", None)
-    assert got.note == f"complex certificate at r={r} does not transfer to the real field"
+    assert got.note == (f"alternating search succeeded at r={r}, "
+                        "but its REAL certificate fails the positive-decomposition check")
     assert len(split) == 1
     assert_same_verdict(sep.SepVerdict("SEPARABLE_CERTIFIED", decomposition=split[0]),
                         sep.SepVerdict("SEPARABLE_CERTIFIED", decomposition=want.decomposition))
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (2, 2, 2), (4, 4)])
+def test_realify_assembles_the_real_form(rng, dims):
+    # assemble(realify(d)) = P(assemble(d)) for real coefficients of both signs
+    for _ in range(10):
+        d = dec.HermitianDecomposition(dims, tuple(
+            (rng.uniform(0.5, 2.0) * rng.choice([-1, 1]), tuple(random_unit(rng, n) for n in dims))
+            for _ in range(3)))
+        want = real_herm.real_form(dec.assemble(d))
+        got = dec.assemble(sep.realify_decomposition(d))
+        assert np.abs(got.mat - want.mat).max() <= 1e-14 * core.norm(want)
+
+
+@pytest.mark.parametrize("name", ["real", "R", "QUATERNION", ""])
+def test_unknown_field_names_are_rejected(rng, name):
+    # one check for every field argument: none is read as COMPLEX
+    terms = ((1.0, (random_unit(rng, 2), random_unit(rng, 2))),)
+    d = dec.HermitianDecomposition((2, 2), terms)
+    a = dec.assemble(d)
+    calls = [lambda: sep.verify_positive_decomposition(d, a, name),
+             lambda: sep.separability_pipeline(a, name),
+             lambda: spectral.herm_eigenpair(a, seed=0, field=name)]
+    for call in calls:
+        with pytest.raises(ShapeMismatch, match=f"unknown field {name!r}"):
+            call()
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (2, 2, 2)])
@@ -443,8 +469,6 @@ def test_realify_never_worsens_a_real_fit(rng, dims):
 
 
 def test_pipeline_real_branch_propagates_unexpected_errors(monkeypatch):
-    from hermitia import real_herm
-
     def broken(*args, **kwargs):
         raise RuntimeError("bug in the reality check")
 
