@@ -17,7 +17,6 @@ import argparse
 import dataclasses
 import functools
 import json
-import math
 import sys
 
 import numpy as np
@@ -146,32 +145,11 @@ def _tols(args) -> core.Tolerances:
             raise _UsageError(f"--tol expects name=value, got {item!r}")
         if name not in known:
             raise _UsageError(f"unknown tolerance {name!r}; known: {', '.join(sorted(known))}")
-        try:
-            out[name] = float(val)
-        except ValueError as exc:
-            raise _UsageError(f"bad tolerance value {val!r}") from exc
-        if not (math.isfinite(out[name]) and out[name] >= 0.0):
-            raise _UsageError(f"tolerance {name} must be finite and >= 0, got {val!r}")
-    return dataclasses.replace(core.TOL, **out)
-
-
-def _read(load, path, *args):
-    """Load a file; an unreadable path counts as a malformed input."""
+        out[name] = val
     try:
-        return load(path, *args)
-    except OSError as exc:
-        raise FormatError(f"cannot read {path}: {exc}") from exc
-
-
-def _dumps(artifact) -> str:
-    """Serialize a verb's artifact in the format its type names; a flattening is MTXC."""
-    for kind, dumps in ((core.HermitianTensor, io.dumps_hten),
-                        (decomposition.HermitianDecomposition, io.dumps_hdec),
-                        (psd_sos.GramCertificate, io.dumps_gram),
-                        (separability.SepVerdict, io.dumps_sepv)):
-        if isinstance(artifact, kind):
-            return dumps(artifact)
-    return io.dumps_mtxc(artifact)
+        return dataclasses.replace(core.TOL, **{name: float(val) for name, val in out.items()})
+    except ValueError as exc:  # not a number, or not finite and >= 0 (Tolerances checks)
+        raise _UsageError(f"bad tolerance value: {exc}") from exc
 
 
 VERBS: dict = {}  # name -> (handler, argparse arguments, loads an HTEN input)
@@ -205,7 +183,7 @@ def _info(h, args, tols):
 @_verb("validate", _arg("input"), hten=False)
 def _validate(h, args, tols):
     try:
-        h = _read(io.load_hten, args.input, tols)
+        h = io.load_hten(args.input, tols)
     except HermitiaError as exc:
         return {"valid": False, "detail": str(exc)}, EXIT_NEGATIVE, None
     return {"valid": True, "dims": list(h.dims)}, EXIT_OK, None
@@ -239,7 +217,7 @@ def _basis_decompose(h, args, tols):
 
 @_verb("kruskal", _arg("input", help="HDEC file"), hten=False)
 def _kruskal(h, args, tols):
-    rep = decomposition.kruskal_certify(_read(io.load_hdec, args.input), tols)
+    rep = decomposition.kruskal_certify(io.load_hdec(args.input), tols)
     report = {"kruskal_ranks": list(rep.kruskal_ranks), "rank": rep.rank,
               "certified": rep.certified, "margin": rep.margin}
     return report, EXIT_OK if rep.certified else EXIT_UNKNOWN, None
@@ -342,14 +320,14 @@ def _psd(h, args, tols):
 
 @_verb("sep-verify", _arg("--decomposition", required=True), _FIELD)
 def _sep_verify(h, args, tols):
-    d = _read(io.load_hdec, args.decomposition)
+    d = io.load_hdec(args.decomposition)
     ok = separability.verify_positive_decomposition(d, h, args.field, tols)
     return {"verified": ok, "field": args.field}, EXIT_OK if ok else EXIT_NEGATIVE, None
 
 
 @_verb("sep-witness", _arg("--witness", required=True))
 def _sep_witness(h, args, tols):
-    b = _read(io.load_hten, args.witness, tols)
+    b = io.load_hten(args.witness, tols)
     res = separability.dual_witness_check(h, b, tols)
     return {"status": res.status, "inner": res.value}, res.status, None
 
@@ -426,7 +404,7 @@ def run(argv) -> int:
         args = _parser().parse_args(argv)
         tols = _tols(args)
         handler, _, hten = VERBS[args.verb]
-        h = _read(io.load_hten, args.input, tols) if hten else None
+        h = io.load_hten(args.input, tols) if hten else None
         report, status, artifact = handler(h, args, tols)
     except (_UsageError, RankBudgetExceeded, BasisTooLarge, NonRealDiagonal, NotShape22,
             OrderTooSmall) as exc:
@@ -441,8 +419,7 @@ def run(argv) -> int:
         return EXIT_BADFILE
     if artifact is not None and getattr(args, "out", None):
         try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(_dumps(artifact))
+            io.save(args.out, artifact)
         except OSError as exc:
             print(f"usage error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
             return EXIT_USAGE

@@ -169,7 +169,7 @@ def check_hermitian(arr: np.ndarray, tols: Tolerances, what: str) -> None:
     """Raise ``SymmetryViolation`` unless the square matrix ``arr`` is
     Hermitian entrywise within ``symTol`` times its Frobenius norm."""
     dev = float(np.abs(arr - arr.conj().T).max()) if arr.size else 0.0
-    bound = tols.symTol * float(np.linalg.norm(arr))
+    bound = tols.symTol * _frobenius(arr)
     if dev > bound:
         raise SymmetryViolation(f"{what} is not Hermitian: max |A - A*| = {dev:.3e} > {bound:.1e}")
 
@@ -247,9 +247,23 @@ def inner(a: HermitianTensor, b: HermitianTensor, tols: Tolerances = TOL) -> flo
     return float(val.real)
 
 
+def _frobenius(a) -> float:
+    """Frobenius norm of an array, with no underflow or overflow: entries
+    whose squares would leave the float range (``np.linalg.norm`` gives 0
+    for entries of 1e-200) are first scaled, exactly, by a power of two
+    near the largest.  Between the bounds, the 2N^2 <= 2^25 squares sum
+    below 2^925, and each underflowed square is below 2^-122 of the sum."""
+    x = np.ascontiguousarray(a, dtype=np.complex128).view(np.float64)
+    big = float(np.abs(x).max(initial=0.0))
+    if 0.0 < big < 2.0 ** -450 or 2.0 ** 450 < big < math.inf:
+        e = int(np.frexp(big)[1])
+        return float(np.ldexp(np.linalg.norm(np.ldexp(x, -e)), e))
+    return float(np.linalg.norm(x))
+
+
 def norm(a: HermitianTensor) -> float:
     """Hilbert-Schmidt norm sqrt(<a, a>)."""
-    return float(np.linalg.norm(a.mat))
+    return _frobenius(a.mat)
 
 
 def eval_poly(h: HermitianTensor, xs) -> float:

@@ -82,7 +82,7 @@ def assemble(d: HermitianDecomposition) -> core.HermitianTensor:
 def residual(d: HermitianDecomposition, h: core.HermitianTensor) -> float:
     if d.dims != h.dims:
         raise ShapeMismatch(f"shapes differ: {d.dims} vs {h.dims}")
-    return float(np.linalg.norm(assemble(d).mat - h.mat))
+    return core._frobenius(assemble(d).mat - h.mat)
 
 
 def fits(d: HermitianDecomposition, h: core.HermitianTensor, tol: float) -> bool:

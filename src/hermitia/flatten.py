@@ -30,6 +30,8 @@ HERMITIAN_M = "HERMITIAN_M"
 KRONECKER_K = "KRONECKER_K"
 CUBIC_SLICE = "CUBIC_SLICE"
 
+M_RANK_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class FlatMatrix:
@@ -156,12 +158,12 @@ def hrank_lower_bound(h: core.HermitianTensor, tols: core.Tolerances = core.TOL)
     return BoundReport(m_rank, kappa_rank, bound)
 
 
-def verify_M_rank(mat, d, rel_tol: float = 1e-9) -> bool:
+def verify_M_rank(mat, d) -> bool:
     """Check that a decomposition writes ``mat`` as a sum of Kronecker
     products of rank-1 Hermitian matrices, certifying its structured rank
     (and hence the Hermitian rank of the unflattened tensor) is at most
-    the term count: ``decomposition.fits`` at ``rel_tol``."""
+    the term count: ``decomposition.fits`` at ``M_RANK_TOL``."""
     from .decomposition import fits  # decomposition imports this module
 
     # mat is kept as given: an anti-Hermitian part counts in the residual
-    return fits(d, core.HermitianTensor(d.dims, _as_m_matrix(mat)), rel_tol)
+    return fits(d, core.HermitianTensor(d.dims, _as_m_matrix(mat)), M_RANK_TOL)

@@ -1,11 +1,12 @@
 """Text formats: HTEN (tensors), HDEC (decompositions), MTXC (matrices),
 GRAM (certificates), SEPV (separability verdicts).
 
-All formats are line-oriented UTF-8 with a ``NAME 1`` header line.
-Numbers are written with 17 significant digits so float64 round-trips
-exactly.  HTEN lists only nonzero entries with I <= J (lexicographic);
-the loader reconstructs the conjugate pairs and treats unlisted entries
-as zero.
+All formats are line-oriented UTF-8 with a ``NAME 1`` header line, and
+every other header is one ``key values...`` line.  ``save`` writes any of
+them, picking the format from the artifact's type.  Numbers are written
+with 17 significant digits so float64 round-trips exactly.  HTEN lists
+only nonzero entries with I <= J (lexicographic); the loader
+reconstructs the conjugate pairs and treats unlisted entries as zero.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ import numpy as np
 from . import core
 from .decomposition import HermitianDecomposition
 from .errors import FormatError
+from .psd_sos import GramCertificate
+from .separability import SepVerdict
 
 # Largest N = n1...nm an HTEN file may declare; the loader allocates N x N.
 # An MTXC matrix (either flattening has N^2 entries) and a GRAM basis are
@@ -41,18 +44,13 @@ def _reals(a) -> np.ndarray:
     return np.ascontiguousarray(a, dtype=np.complex128).view(np.float64)
 
 
-def _parse_floats(tokens, want: int, where: str) -> list[float]:
-    if len(tokens) != want:
-        raise FormatError(f"{where}: expected {want} numbers, got {len(tokens)}")
+def _parse(tokens, kind, want: int | None, where: str) -> list:
+    """``tokens`` read with ``kind`` (int or float): exactly ``want`` of
+    them, or any number when ``want`` is None."""
+    if want is not None and len(tokens) != want:
+        raise FormatError(f"{where}: expected {want} number{'s' * (want != 1)}, got {len(tokens)}")
     try:
-        return [float(t) for t in tokens]
-    except ValueError as exc:
-        raise FormatError(f"{where}: {exc}") from exc
-
-
-def _parse_ints(tokens, where: str) -> list[int]:
-    try:
-        return [int(t) for t in tokens]
+        return [kind(t) for t in tokens]
     except ValueError as exc:
         raise FormatError(f"{where}: {exc}") from exc
 
@@ -115,6 +113,24 @@ class _Lines:
         if ln.split() != token.split():
             raise FormatError(f"expected {token!r}, got {ln!r}")
 
+    def header(self, key: str, kind=int, want: int | None = None) -> list:
+        """The values of the next nonblank line, a ``key values...`` line,
+        read by ``_parse``."""
+        tokens = self.next(key).split()
+        if tokens[0] != key:
+            raise FormatError(f"expected {key!r}, got {tokens[0]!r}")
+        return _parse(tokens[1:], kind, want, key)
+
+
+def _read(path) -> str:
+    """The text of a file; one that cannot be opened or is not UTF-8 is
+    a malformed input."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise FormatError(f"cannot read {path}: {exc}") from exc
+
 
 # ---------------------------------------------------------------------------
 # HTEN
@@ -136,8 +152,8 @@ def _check_entry(tokens, dims):
     m = len(dims)
     if len(tokens) != 2 * m + 2:
         raise FormatError(f"entry line needs {2 * m + 2} fields, got {len(tokens)}")
-    labels = _parse_ints(tokens[: 2 * m], "entry labels")
-    _parse_floats(tokens[2 * m:], 2, "entry value")
+    labels = _parse(tokens[: 2 * m], int, None, "entry labels")
+    _parse(tokens[2 * m:], float, 2, "entry value")
     I, J = tuple(labels[:m]), tuple(labels[m:])
     core.flat_index(dims, I)
     core.flat_index(dims, J)
@@ -161,11 +177,7 @@ def _place_entries(dims, labels: np.ndarray, values: np.ndarray):
 def loads_hten(text: str, tols: core.Tolerances = core.TOL) -> core.HermitianTensor:
     lines = _Lines(text)
     lines.expect("HTEN 1")
-    header = lines.next("dims").split()
-    if header[0] != "dims":
-        raise FormatError(f"expected 'dims', got {header[0]!r}")
-    dims = tuple(_parse_ints(header[1:], "dims"))
-    dims = core.check_dims(dims)
+    dims = core.check_dims(tuple(lines.header("dims")))
     m = len(dims)
     n = core.size_of(dims)
     if n > MAX_N:
@@ -187,14 +199,8 @@ def loads_hten(text: str, tols: core.Tolerances = core.TOL) -> core.HermitianTen
     return core.validate(dims, mat, tols)
 
 
-def save_hten(path, h: core.HermitianTensor):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_hten(h))
-
-
 def load_hten(path, tols: core.Tolerances = core.TOL) -> core.HermitianTensor:
-    with open(path, encoding="utf-8") as fh:
-        return loads_hten(fh.read(), tols)
+    return loads_hten(_read(path), tols)
 
 
 # ---------------------------------------------------------------------------
@@ -213,43 +219,19 @@ def dumps_hdec(d: HermitianDecomposition) -> str:
 def loads_hdec(text: str) -> HermitianDecomposition:
     lines = _Lines(text)
     lines.expect("HDEC 1")
-    header = lines.next("dims").split()
-    if header[0] != "dims":
-        raise FormatError(f"expected 'dims', got {header[0]!r}")
-    dims = core.check_dims(tuple(_parse_ints(header[1:], "dims")))
-    m = len(dims)
-    tline = lines.next("terms").split()
-    if tline[0] != "terms" or len(tline) != 2:
-        raise FormatError(f"expected 'terms <r>', got {' '.join(tline)!r}")
-    (r,) = _parse_ints(tline[1:], "terms")
+    dims = core.check_dims(tuple(lines.header("dims")))
+    (r,) = lines.header("terms", int, 1)
     terms = []
     for _ in range(r):
-        lam_line = lines.next("lambda").split()
-        if lam_line[0] != "lambda" or len(lam_line) != 2:
-            raise FormatError(f"expected 'lambda <re>', got {' '.join(lam_line)!r}")
-        lam = _parse_floats(lam_line[1:], 1, "lambda")[0]
-        vectors = []
-        for k in range(1, m + 1):
-            vline = lines.next(f"v{k}").split()
-            if vline[0] != f"v{k}":
-                raise FormatError(f"expected 'v{k}', got {vline[0]!r}")
-            width = 2 * dims[k - 1]
-            vectors.append(_parse_rows(
-                [vline[1:]], width, 0, lambda _, floats: floats.view(np.complex128)[0],
-                lambda _, tokens: _parse_floats(tokens, width, f"v{k}"),
-            ))
-        terms.append((lam, tuple(vectors)))
+        (lam,) = lines.header("lambda", float, 1)
+        vectors = tuple(np.array(lines.header(f"v{k}", float, 2 * n)).view(np.complex128)
+                        for k, n in enumerate(dims, start=1))
+        terms.append((lam, vectors))
     return HermitianDecomposition(dims, tuple(terms))
 
 
-def save_hdec(path, d: HermitianDecomposition):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_hdec(d))
-
-
 def load_hdec(path) -> HermitianDecomposition:
-    with open(path, encoding="utf-8") as fh:
-        return loads_hdec(fh.read())
+    return loads_hdec(_read(path))
 
 
 # ---------------------------------------------------------------------------
@@ -273,10 +255,7 @@ def loads_mtxc(text: str) -> np.ndarray:
 
 def _read_mtxc_block(lines: _Lines) -> np.ndarray:
     lines.expect("MTXC 1")
-    header = lines.next("size").split()
-    if header[0] != "size" or len(header) != 3:
-        raise FormatError(f"expected 'size <r> <c>', got {' '.join(header)!r}")
-    rows, cols = _parse_ints(header[1:], "size")
+    rows, cols = lines.header("size", int, 2)
     if rows < 0 or cols < 0:
         raise FormatError("matrix dimensions must be nonnegative")
     if max(rows, 1) * max(cols, 1) > MAX_N ** 2:  # an empty side still shapes the array
@@ -284,21 +263,15 @@ def _read_mtxc_block(lines: _Lines) -> np.ndarray:
     tokens = lines.take(rows)
     mat = _parse_rows(
         tokens, 2 * cols, 0, lambda _, floats: floats.view(np.complex128),
-        lambda i, row: _parse_floats(row, 2 * cols, f"row {i}"),
+        lambda i, row: _parse(row, float, 2 * cols, f"row {i}"),
     )
     if len(tokens) < rows:
         raise FormatError(f"unexpected end of input while reading row {len(tokens)}")
     return mat
 
 
-def save_mtxc(path, mat):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_mtxc(mat))
-
-
 def load_mtxc(path) -> np.ndarray:
-    with open(path, encoding="utf-8") as fh:
-        return loads_mtxc(fh.read())
+    return loads_mtxc(_read(path))
 
 
 # ---------------------------------------------------------------------------
@@ -314,37 +287,24 @@ def dumps_gram(cert) -> str:
     return "\n".join(out) + "\n"
 
 
-def loads_gram(text: str):
-    from .psd_sos import GramCertificate
-
+def loads_gram(text: str) -> GramCertificate:
     lines = _Lines(text)
     lines.expect("GRAM 1")
-    header = lines.next("dims").split()
-    if header[0] != "dims":
-        raise FormatError(f"expected 'dims', got {header[0]!r}")
-    dims = core.check_dims(tuple(_parse_ints(header[1:], "dims")))
-    bline = lines.next("basis").split()
-    if bline[0] != "basis" or len(bline) != 2:
-        raise FormatError("expected 'basis <count>'")
-    (count,) = _parse_ints(bline[1:], "basis")
+    dims = core.check_dims(tuple(lines.header("dims")))
+    (count,) = lines.header("basis", int, 1)
     if count > MAX_N:
         raise FormatError(f"basis count {count} is above the limit {MAX_N}")
     width = 2 * sum(dims)
     basis = []
     for i in range(count):
-        exps = _parse_ints(lines.next(f"basis row {i}").split(), f"basis row {i}")
-        if len(exps) != width:
-            raise FormatError(f"basis row {i} needs {width} exponents")
+        exps = _parse(lines.next(f"basis row {i}").split(), int, width, f"basis row {i}")
         if min(exps, default=0) < 0:
             raise FormatError(f"basis row {i} has a negative exponent")
         basis.append(tuple(exps))
     w = _read_mtxc_block(lines)
     if w.shape != (count, count):
         raise FormatError(f"W has shape {w.shape}, expected {(count, count)} for {count} basis rows")
-    rline = lines.next("residual").split()
-    if rline[0] != "residual" or len(rline) != 2:
-        raise FormatError("expected 'residual <value>'")
-    res = _parse_floats(rline[1:], 1, "residual")[0]
+    (res,) = lines.header("residual", float, 1)
     return GramCertificate(dims, tuple(basis), w, res)
 
 
@@ -368,3 +328,17 @@ def dumps_sepv(verdict) -> str:
         out.append("certificate")
         out.append(dumps_gram(verdict.witness_certificate).rstrip("\n"))
     return "\n".join(out) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Files
+
+
+def save(path, artifact) -> None:
+    """Write ``artifact`` in the format its type names; any other matrix
+    (a flattening, say) is MTXC.  An unwritable path raises ``OSError``."""
+    kinds = ((core.HermitianTensor, dumps_hten), (HermitianDecomposition, dumps_hdec),
+             (GramCertificate, dumps_gram), (SepVerdict, dumps_sepv))
+    text = next((dumps for kind, dumps in kinds if isinstance(artifact, kind)), dumps_mtxc)(artifact)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)

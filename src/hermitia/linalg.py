@@ -12,6 +12,8 @@ import numpy as np
 from .core import TOL, _rank1_sum, kron_vector
 from .errors import NoConvergence, SymmetryViolation, ZeroTensor
 
+PIVOT_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class SpectralDecomp:
@@ -105,12 +107,12 @@ def psd_project(a) -> np.ndarray:
     return (out + np.swapaxes(out.conj(), -1, -2)) / 2.0
 
 
-def phase_normalize(v: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def phase_normalize(v: np.ndarray) -> np.ndarray:
     """Rotate a vector, or each row of ``(..., n)``, so its first
-    significant entry (above ``tol`` times the row's largest) is real positive."""
+    significant entry (above ``PIVOT_TOL`` times the row's largest) is real positive."""
     v = np.asarray(v, dtype=np.complex128)
     mag = np.abs(v)
-    sig = mag > tol * mag.max(axis=-1, initial=0.0, keepdims=True)
+    sig = mag > PIVOT_TOL * mag.max(axis=-1, initial=0.0, keepdims=True)
     pivot = np.take_along_axis(v, sig.argmax(axis=-1)[..., None], axis=-1)
     size = np.abs(pivot)
     rot = np.conj(pivot) / np.where(size > 0.0, size, 1.0)

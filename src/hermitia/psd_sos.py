@@ -288,9 +288,10 @@ def csos_test(
 
     Alternating projections between the psd cone and the affine
     coefficient-matching set; FEASIBLE when a psd iterate matches all
-    coefficients within ``gramTol * norm(h)``.  A stalled distance (checked with
-    an averaged-step fallback) yields INFEASIBLE_HINT, which is a
-    heuristic only; the iteration cap yields UNKNOWN.
+    coefficients within ``gramTol * norm(h)``.  The first stall of the
+    distance between the two sets yields INFEASIBLE_HINT, which is a
+    heuristic only; the iteration cap yields UNKNOWN with the residual of
+    the last psd iterate.
 
     The iterates stay on the 2^m charge blocks of ``_charge_blocks`` (the
     start is zero off them, and both projections keep that), so each step
@@ -309,7 +310,7 @@ def csos_test(
 
     w = affine(np.zeros(gids.shape, dtype=np.complex128), 0.0)
     dist_hist: list[float] = []
-    averaged = False
+    res = float(np.abs(targets).max())  # that of W = 0, before any step
     for it in range(1, iters + 1):
         p = linalg.psd_project(w)
         sums = blocks.of_gram(p)
@@ -319,18 +320,13 @@ def csos_test(
             full[rows[:, :, None], rows[:, None, :]] = p
             res = cmap.residual(full, targets)
             return CsosResult("FEASIBLE", GramCertificate(h.dims, basis, full, res), it, res)
-        wa = affine(p, sums)
-        dist_hist.append(float(np.linalg.norm(wa - p)))
-        w = (wa + p) / 2.0 if averaged else wa
+        w = affine(p, sums)
+        dist_hist.append(float(np.linalg.norm(w - p)))
         if len(dist_hist) >= 80 and res > 10.0 * gram_tol:
             recent, past = dist_hist[-1], dist_hist[-60]
             if past > 0 and recent >= past * (1.0 - 1e-5):
-                if not averaged:
-                    averaged = True
-                    dist_hist.clear()
-                else:
-                    return CsosResult("INFEASIBLE_HINT", None, it, res)
-    return CsosResult("UNKNOWN", None, iters, blocks.residual(linalg.psd_project(w), targets))
+                return CsosResult("INFEASIBLE_HINT", None, it, res)
+    return CsosResult("UNKNOWN", None, iters, res)
 
 
 # ---------------------------------------------------------------------------

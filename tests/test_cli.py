@@ -20,14 +20,14 @@ from conftest import (
 @pytest.fixture
 def hankel_file(tmp_path):
     path = tmp_path / "hankel.hten"
-    hio.save_hten(path, hankel_tensor())
+    hio.save(path, hankel_tensor())
     return str(path)
 
 
 @pytest.fixture
 def e1122_file(tmp_path):
     path = tmp_path / "e1122.hten"
-    hio.save_hten(path, core.basis_tensor((1, 1), (2, 2), 1.0, (2, 2)))
+    hio.save(path, core.basis_tensor((1, 1), (2, 2), 1.0, (2, 2)))
     return str(path)
 
 
@@ -50,7 +50,7 @@ def test_real_check_positive(hankel_file):
 
 def test_sep_witness_exit_and_value(hankel_file, tmp_path, capsys):
     wpath = tmp_path / "b.hten"
-    hio.save_hten(wpath, hankel_witness())
+    hio.save(wpath, hankel_witness())
     assert run(["sep-witness", hankel_file, "--witness", str(wpath)]) == 1
     out = capsys.readouterr().out
     assert "-0.16666666" in out
@@ -90,7 +90,7 @@ def test_tol_after_the_verb_changes_the_outcome(near_product_file):
 def test_tol_before_and_after_the_verb_both_apply(tmp_path):
     # rdTol decides only once symTol admits the file (TOL_CASES["rdTol"])
     path = tmp_path / "a.hten"
-    hio.save_hten(path, near_real_decomposable())
+    hio.save(path, near_real_decomposable())
     assert run(["--tol", "symTol=1e-6", "real-decompose", str(path)]) == 2
     assert run(["--tol", "symTol=1e-6", "real-decompose", str(path), "--tol", "rdTol=1e-6"]) == 0
 
@@ -106,10 +106,34 @@ def test_malformed_file_exit_65(tmp_path):
     assert run(["info", str(bad)]) == 65
 
 
+@pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+@pytest.mark.parametrize("argv", [
+    ["info", "{bad}"],
+    ["sep-witness", "{good}", "--witness", "{bad}"],
+    ["kruskal", "{bad}"],
+    ["sep-verify", "{good}", "--decomposition", "{bad}"],
+], ids=["input", "witness", "kruskal", "decomposition"])
+def test_unreadable_inputs_exit_65(argv, kind, tmp_path, capsys):
+    good, not_utf8 = tmp_path / "good.hten", tmp_path / "b.hten"
+    hio.save(good, core.identity_tensor((2, 2)))
+    not_utf8.write_bytes(b"\xff\xfeHTEN 1\n")
+    bad = {"missing": tmp_path / "missing.hten", "directory": tmp_path, "not-utf8": not_utf8}[kind]
+    assert run([a.format(good=good, bad=bad) for a in argv]) == 65
+    assert capsys.readouterr().err.startswith(f"input error: cannot read {bad}: ")
+
+
+def test_validate_reports_an_undecodable_file(tmp_path, capsys):
+    bad = tmp_path / "b.hten"
+    bad.write_bytes(b"\xff\xfeHTEN 1\n")
+    assert run(["--json", "validate", str(bad)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["valid"] is False and report["detail"].startswith("cannot read")
+
+
 def test_hsos_exit_codes(e1122_file, tmp_path):
     assert run(["hsos", e1122_file]) == 1
     ident = tmp_path / "id.hten"
-    hio.save_hten(ident, core.identity_tensor((2, 2)))
+    hio.save(ident, core.identity_tensor((2, 2)))
     assert run(["hsos", str(ident)]) == 0
 
 
@@ -140,7 +164,7 @@ def test_kruskal_verb(tmp_path, capsys):
         ),
     )
     path = tmp_path / "d.hdec"
-    hio.save_hdec(path, d)
+    hio.save(path, d)
     assert run(["kruskal", str(path)]) == 0
     assert "certified: True" in capsys.readouterr().out
 
@@ -156,7 +180,7 @@ def near_product() -> core.HermitianTensor:
 @pytest.fixture
 def near_product_file(tmp_path):
     path = tmp_path / "near.hten"
-    hio.save_hten(path, near_product())
+    hio.save(path, near_product())
     return str(path)
 
 
@@ -165,7 +189,7 @@ def test_psd_honours_eig_tols(near_product_file, tmp_path):
     assert run(["--tol", "eigTol=1e-6", "psd", near_product_file]) == 0
     from conftest import cr_psd_ii_tensor
     path = tmp_path / "cr.hten"
-    hio.save_hten(path, cr_psd_ii_tensor())
+    hio.save(path, cr_psd_ii_tensor())
     assert run(["psd", str(path)]) == 1
     # no eigentuple meets a 1e-300 residual, so no witness survives
     assert run(["--tol", "eigTupleTol=1e-300", "psd", str(path)]) == 2
@@ -187,7 +211,7 @@ def test_eig_deterministic_given_seed(hankel_file, capsys):
 def test_psd_verdict_exit(tmp_path):
     from conftest import cr_psd_ii_tensor
     path = tmp_path / "cr.hten"
-    hio.save_hten(path, cr_psd_ii_tensor())
+    hio.save(path, cr_psd_ii_tensor())
     assert run(["psd", str(path), "--field", "COMPLEX", "--effort", "1"]) == 1
     assert run(["psd", str(path), "--field", "REAL", "--effort", "0"]) == 0
 
@@ -196,7 +220,7 @@ def test_psd_verdict_exit(tmp_path):
 def test_psd_real_certifies_real_psd_complex_indefinite(dims, tmp_path, capsys):
     # not real-decomposable, so only P(H) decides it over R
     path = tmp_path / "rpsd.hten"
-    hio.save_hten(path, rpsd_tensor(np.random.default_rng(1), dims))
+    hio.save(path, rpsd_tensor(np.random.default_rng(1), dims))
     assert run(["real-check", str(path)]) == 1
     assert run(["psd", str(path), "--field", "COMPLEX"]) == 1
     capsys.readouterr()
@@ -207,7 +231,7 @@ def test_psd_real_certifies_real_psd_complex_indefinite(dims, tmp_path, capsys):
 
 def test_sep_pipeline_writes_sepv(tmp_path, capsys):
     path = tmp_path / "a62.hten"
-    hio.save_hten(path, flatten.hermitian_unflatten(separable_62_matrix(), (2, 2)))
+    hio.save(path, flatten.hermitian_unflatten(separable_62_matrix(), (2, 2)))
     out = tmp_path / "v.sepv"
     code = run(["sep-pipeline", str(path), "--effort", "4", "--out", str(out)])
     assert code == 0
@@ -229,7 +253,7 @@ def test_sep_pipeline_certifies_near_collinear_2x2_in_closed_form(tmp_path, caps
 
 def test_unitary_check_inconclusive(tmp_path):
     path = tmp_path / "id.hten"
-    hio.save_hten(path, core.identity_tensor((2, 2)))
+    hio.save(path, core.identity_tensor((2, 2)))
     assert run(["unitary-check", str(path)]) == 2
 
 
@@ -244,7 +268,7 @@ def test_expected_rank(capsys):
 
 def test_flag_domain_errors_are_usage_errors(tmp_path):
     path = tmp_path / "h.hten"
-    hio.save_hten(path, core.random_hermitian((2, 2), 0))
+    hio.save(path, core.random_hermitian((2, 2), 0))
     assert run(["jennrich", str(path), "--rmax", "5"]) == 64
     assert run(["basis-decompose", "--dims", "2,2", "--I", "1,1", "--J", "1,1",
                 "--c", "1j"]) == 64
@@ -267,7 +291,7 @@ def test_flag_domain_errors_are_usage_errors(tmp_path):
         "sep-pipeline", "psd", "basis-decompose-c", "random-above-max-n"])
 def test_bad_flag_values_exit_64(argv, tmp_path, capsys):
     h, out = tmp_path / "h.hten", tmp_path / "x.hten"
-    hio.save_hten(h, core.random_hermitian((2, 2), 1))
+    hio.save(h, core.random_hermitian((2, 2), 1))
     assert run([a.format(h=h, out=out) for a in argv]) == 64
     assert capsys.readouterr().err.startswith("usage error:")
     assert not out.exists()
@@ -278,7 +302,7 @@ def test_tol_values_must_be_finite_and_nonnegative(value, tmp_path, capsys):
     # NaN fails every comparison (eigTol=nan refuted the identity's HSOS,
     # symTol=nan admitted any file); infinite or negative values flip verdicts
     path = tmp_path / "id.hten"
-    hio.save_hten(path, core.identity_tensor((2, 2)))
+    hio.save(path, core.identity_tensor((2, 2)))
     assert run(["--tol", f"eigTol={value}", "hsos", str(path)]) == 64
     assert run(["hsos", str(path), "--tol", f"symTol={value}"]) == 64
     assert capsys.readouterr().err.count("usage error:") == 2
@@ -292,7 +316,7 @@ def test_tol_values_must_be_finite_and_nonnegative(value, tmp_path, capsys):
 ], ids=["eig", "psd", "jennrich", "random"])
 def test_negative_seed_exits_64(argv, tmp_path, capsys):
     h, out = tmp_path / "h.hten", tmp_path / "x.hten"
-    hio.save_hten(h, core.random_hermitian((2, 2), 1))
+    hio.save(h, core.random_hermitian((2, 2), 1))
     argv = [a.format(h=h, out=out) for a in argv]
     assert run(["--seed", "-1", *argv]) == 64
     assert run([*argv, "--seed", "-1"]) == 64
@@ -302,7 +326,7 @@ def test_negative_seed_exits_64(argv, tmp_path, capsys):
 
 def test_malformed_files_still_exit_65(tmp_path, capsys):
     good, bad_hten, bad_hdec = tmp_path / "h.hten", tmp_path / "bad.hten", tmp_path / "bad.hdec"
-    hio.save_hten(good, core.random_hermitian((2, 2), 1))
+    hio.save(good, core.random_hermitian((2, 2), 1))
     bad_hten.write_text("HTEN 1\ndims 2 2\n1 1 1 1 x 0\n")
     bad_hdec.write_text("HDEC 1\ndims 2\nterms 1\nlambda 1\n")
     assert run(["omega", str(bad_hten), "--k", "1,1"]) == 65
@@ -312,7 +336,7 @@ def test_malformed_files_still_exit_65(tmp_path, capsys):
 
 def test_gram_certificate_roundtrips_through_cli(tmp_path):
     src = tmp_path / "id.hten"
-    hio.save_hten(src, core.identity_tensor((2, 2)))
+    hio.save(src, core.identity_tensor((2, 2)))
     out = tmp_path / "cert.gram"
     assert run(["hsos", str(src), "--out", str(out)]) == 0
     cert = hio.loads_gram(out.read_text())
@@ -331,7 +355,7 @@ def test_search_then_verify_workflow(tmp_path):
         vecs.append((u / np.linalg.norm(u), v / np.linalg.norm(v)))
     a = dec.assemble(dec.HermitianDecomposition((2, 2), tuple((1.0, vs) for vs in vecs)))
     src = tmp_path / "a.hten"
-    hio.save_hten(src, a)
+    hio.save(src, a)
     found = tmp_path / "found.hdec"
     code = run(["--seed", "3", "sep-search", str(src), "--r", "2", "--out", str(found)])
     if code == 0:  # the alternating fit is a heuristic; verify when it lands
@@ -349,7 +373,7 @@ def test_jennrich_roundtrip_workflow(tmp_path):
         terms.append((1.5, (u / np.linalg.norm(u), v / np.linalg.norm(v))))
     h = dec.assemble(dec.HermitianDecomposition((3, 3), tuple(terms)))
     src = tmp_path / "h.hten"
-    hio.save_hten(src, h)
+    hio.save(src, h)
     out = tmp_path / "d.hdec"
     assert run(["jennrich", str(src), "--rmax", "2", "--out", str(out)]) == 0
     d = hio.load_hdec(out)
@@ -387,7 +411,7 @@ def test_sym_tol_reaches_the_loader(tmp_path):
     assert run(["validate", str(path)]) == 1
     assert run(["--tol", "symTol=1e-8", "validate", str(path)]) == 0
     ident = tmp_path / "id.hten"
-    hio.save_hten(ident, core.identity_tensor((2,)))
+    hio.save(ident, core.identity_tensor((2,)))
     assert run(["sep-witness", str(ident), "--witness", str(path)]) == 65
     assert run(["--tol", "symTol=1e-8", "sep-witness", str(ident), "--witness", str(path)]) in (1, 2)
 
@@ -404,7 +428,7 @@ def test_real_decompose_bound_honours_rank_tol(tmp_path, capsys):
     # e1111 + 1e-7 e2222: flattening rank 2 at the default rankTol, 1 at 1e-5
     e = [core.basis_tensor(I, I, 1.0, (2, 2)) for I in ((1, 1), (2, 2))]
     path = tmp_path / "d.hten"
-    hio.save_hten(path, core.validate((2, 2), e[0].mat + 1e-7 * e[1].mat))
+    hio.save(path, core.validate((2, 2), e[0].mat + 1e-7 * e[1].mat))
     bounds = []
     for tol in ([], ["--tol", "rankTol=1e-5"]):
         assert run(["--json", *tol, "real-decompose", str(path)]) == 0
@@ -451,9 +475,9 @@ VERB_ARGV = {
 @pytest.mark.parametrize("verb", sorted(cli.VERBS))
 def test_every_verb_emits_json(verb, hankel_file, tmp_path, capsys):
     d = tmp_path / "d.hdec"
-    hio.save_hdec(d, dec.basis_decomposition((1, 1), (2, 2), 1.0, (2, 2)))
+    hio.save(d, dec.basis_decomposition((1, 1), (2, 2), 1.0, (2, 2)))
     w = tmp_path / "w.hten"
-    hio.save_hten(w, hankel_witness())
+    hio.save(w, hankel_witness())
     bad = tmp_path / "bad.hten"
     bad.write_text("HTEN 1\ndims 2\n1 2 1 0\n2 1 1 0\n")
     files = {"t": hankel_file, "d": d, "w": w, "bad": bad, "out": tmp_path / "out"}
@@ -468,7 +492,7 @@ def test_every_verb_emits_json(verb, hankel_file, tmp_path, capsys):
 @pytest.mark.parametrize("argv", [["hsos", "{id}"], ["random", "--dims", "2,2"]], ids=["hsos", "random"])
 def test_unwritable_out_exits_64(argv, tmp_path, capsys):
     ident = tmp_path / "id.hten"
-    hio.save_hten(ident, core.identity_tensor((2, 2)))
+    hio.save(ident, core.identity_tensor((2, 2)))
     out = tmp_path / "missing" / "out"
     assert run([a.format(id=ident) for a in argv] + ["--out", str(out)]) == 64
     assert "cannot write" in capsys.readouterr().err
@@ -558,11 +582,9 @@ TOL_CASES = {
 
 
 def _write(tmp_path, files) -> dict:
-    paths = {}
+    paths = {key: tmp_path / key for key in files}
     for key, make in files.items():
-        obj = make()
-        paths[key] = tmp_path / key
-        (hio.save_hdec if isinstance(obj, dec.HermitianDecomposition) else hio.save_hten)(paths[key], obj)
+        hio.save(paths[key], make())
     return paths
 
 
@@ -657,7 +679,7 @@ def test_sep_witness_accepts_large_valid_tensors(tmp_path, capsys):
     for seed in (1, 101):
         h = core.random_hermitian((2, 2), seed)
         path = tmp_path / f"big{seed}.hten"
-        hio.save_hten(path, core.HermitianTensor(h.dims, h.mat * 1e6))
+        hio.save(path, core.HermitianTensor(h.dims, h.mat * 1e6))
         paths.append(str(path))
     assert run(["sep-witness", paths[0], "--witness", paths[1]]) in (0, 1, 2)
     assert "imaginary residue" not in capsys.readouterr().err

@@ -139,6 +139,17 @@ class TestNorm:
         e1 = np.array([1.0, 0.0])
         assert core.norm(core.rank1(1.0, [e1, e1])) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("scale", [1e-200, 1e-310, 5e-324, 1e200, 1e300])
+    def test_no_underflow_or_overflow(self, scale):
+        # the squares leave the float range; np.linalg.norm gives 0 or inf
+        h = core.rank1(1.0, [np.ones(2), np.ones(3)])
+        assert core.norm(core.HermitianTensor(h.dims, scale * h.mat)) == pytest.approx(6.0 * scale, rel=1e-15, abs=0.0)
+
+    def test_exact_under_powers_of_two(self):
+        h = core.random_hermitian((2, 3), 5)
+        for e in (-700, -40, 40, 700):
+            assert core.norm(core.HermitianTensor(h.dims, np.ldexp(1.0, e) * h.mat)) == np.ldexp(core.norm(h), e)
+
 
 class TestEvalPoly:
     def test_cr_psd_ii_at_complex_point(self):
@@ -344,7 +355,7 @@ class TestTolerances:
         with pytest.raises(SymmetryViolation):
             core.validate((2,), [[1, 1], [0, 1]], core.Tolerances(symTol=0.5))
 
-    @pytest.mark.parametrize("scale", [4.0 ** -20, 1.0, 4.0 ** 20])
+    @pytest.mark.parametrize("scale", [1e-200, 4.0 ** -20, 1.0, 4.0 ** 20])
     def test_one_hermitian_rule_at_every_scale(self, scale):
         # validate, hermitian_unflatten and the psd-Kronecker blocks share it
         arr = scale * np.array([[1.0, 1.0 + 1e-8], [1.0, 1.0]])

@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from hermitia import core, decomposition as dec, io as hio, psd_sos
+from hermitia import core, decomposition as dec, flatten, io as hio, psd_sos, separability
 from hermitia.errors import FormatError, ShapeMismatch
 
 from conftest import random_unit
@@ -12,7 +14,7 @@ class TestHten:
         for seed in range(5):
             h = core.random_hermitian((2, 3), seed)
             path = tmp_path / f"t{seed}.hten"
-            hio.save_hten(path, h)
+            hio.save(path, h)
             assert np.array_equal(hio.load_hten(path).mat, h.mat)
 
     def test_only_upper_pairs_listed(self):
@@ -140,7 +142,7 @@ class TestHdec:
         )
         d = dec.HermitianDecomposition((2, 3), terms)
         path = tmp_path / "d.hdec"
-        hio.save_hdec(path, d)
+        hio.save(path, d)
         d2 = hio.load_hdec(path)
         assert d2.dims == d.dims and len(d2) == len(d)
         for (l1, vs1), (l2, vs2) in zip(d.terms, d2.terms):
@@ -164,7 +166,7 @@ class TestMtxc:
     def test_roundtrip(self, tmp_path, rng):
         m = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
         path = tmp_path / "m.mtxc"
-        hio.save_mtxc(path, m)
+        hio.save(path, m)
         assert np.array_equal(hio.load_mtxc(path), m)
 
     @pytest.mark.parametrize("rows,message", [
@@ -188,6 +190,53 @@ class TestMtxc:
 
     def test_size_at_the_limit_is_read(self):
         assert hio.loads_mtxc(f"MTXC 1\nsize 0 {hio.MAX_N ** 2}\n").shape == (0, hio.MAX_N ** 2)
+
+
+_GRAM = hio.dumps_gram(psd_sos.hsos_test(core.identity_tensor((2, 2))).certificate)
+
+# a text whose one bad header line is named by the error, and that error
+HEADER_ERRORS = [
+    ("HTEN 1\nsize 2\n", "expected 'dims', got 'size'"),
+    ("HTEN 1\ndims 2 x\n", "dims: invalid literal for int() with base 10: 'x'"),
+    ("HDEC 1\ndims 2\nterms 1 2\n", "terms: expected 1 number, got 2"),
+    ("HDEC 1\ndims 2\nterms 1\nlambda x\n", "lambda: could not convert string to float: 'x'"),
+    ("HDEC 1\ndims 2\nterms 1\nlambda 1\nv2 1 0 0 0\n", "expected 'v1', got 'v2'"),
+    ("HDEC 1\ndims 2\nterms 1\nlambda 1\nv1 1 0 0\n", "v1: expected 4 numbers, got 3"),
+    ("MTXC 1\nsize 2\n", "size: expected 2 numbers, got 1"),
+    ("GRAM 1\ndims 2\nbasis two\n", "basis: invalid literal for int() with base 10: 'two'"),
+    (_GRAM.replace("residual 0", "residual 0 1"), "residual: expected 1 number, got 2"),
+]
+
+
+@pytest.mark.parametrize("text,message", HEADER_ERRORS)
+def test_header_errors_name_the_line(text, message):
+    loads = {"HTEN": hio.loads_hten, "HDEC": hio.loads_hdec, "MTXC": hio.loads_mtxc, "GRAM": hio.loads_gram}
+    with pytest.raises(FormatError) as excinfo:
+        loads[text[:4]](text)
+    assert str(excinfo.value) == message
+
+
+class TestFiles:
+    def test_save_matches_dumps_for_every_kind(self, tmp_path):
+        h = core.random_hermitian((2, 2), 3)
+        d = dec.basis_decomposition((1, 1), (2, 2), 1.0, (2, 2))
+        artifacts = [
+            (h, hio.dumps_hten), (d, hio.dumps_hdec), (hio.loads_gram(_GRAM), hio.dumps_gram),
+            (separability.SepVerdict("SEPARABLE_CERTIFIED", "COMPLEX", decomposition=d), hio.dumps_sepv),
+            (flatten.kronecker_flatten(h), hio.dumps_mtxc), (np.eye(2, 3), hio.dumps_mtxc),
+        ]
+        for i, (artifact, dumps) in enumerate(artifacts):
+            path = tmp_path / str(i)
+            hio.save(path, artifact)
+            assert path.read_bytes() == dumps(artifact).encode("utf-8")
+
+    @pytest.mark.parametrize("load", [hio.load_hten, hio.load_hdec, hio.load_mtxc])
+    def test_unreadable_paths_are_format_errors(self, load, tmp_path):
+        not_utf8 = tmp_path / "b"
+        not_utf8.write_bytes(b"\xff\xfeHTEN 1\n")
+        for path in (tmp_path / "missing", tmp_path, not_utf8):
+            with pytest.raises(FormatError, match=re.escape(f"cannot read {path}: ")):
+                load(path)
 
 
 class TestGramAndSepv:

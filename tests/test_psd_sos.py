@@ -59,21 +59,17 @@ def dense_csos(h, iters=ps.CSOS_ITERS):
         out = w + ((targets - cmap.of_gram(w)) / sizes)[gids].reshape(k, k)
         return (out + out.conj().T) / 2.0
 
-    w, dists, averaged = affine(np.zeros((k, k), dtype=complex)), [], False
+    w, dists = affine(np.zeros((k, k), dtype=complex)), []
     for it in range(1, iters + 1):
         p = linalg.psd_project(w)
         res = cmap.residual(p, targets)
         if res <= gram_tol:
             return "FEASIBLE", it, p
-        wa = affine(p)
-        dists.append(float(np.linalg.norm(wa - p)))
-        w = (wa + p) / 2.0 if averaged else wa
+        w = affine(p)
+        dists.append(float(np.linalg.norm(w - p)))
         if len(dists) >= 80 and res > 10.0 * gram_tol and 0 < dists[-60]:
             if dists[-1] >= dists[-60] * (1.0 - 1e-5):
-                if averaged:
-                    return "INFEASIBLE_HINT", it, None
-                averaged = True
-                dists.clear()
+                return "INFEASIBLE_HINT", it, None
     return "UNKNOWN", iters, None
 
 

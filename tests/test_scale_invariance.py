@@ -140,7 +140,7 @@ VERBS = {
 
 
 def _run_json(verb, h, path, capsys, powers=None) -> tuple[int, dict]:
-    hio.save_hten(path, h)
+    hio.save(path, h)
     k = ",".join(map(str, powers or [1] + [0] * (h.order - 1)))
     # CSOS runs to its verdict on [2,2] (K = 16); the larger bases stop early
     iters = 300 if h.size == 4 else 30

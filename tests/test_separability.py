@@ -475,3 +475,14 @@ def test_pipeline_real_branch_propagates_unexpected_errors(monkeypatch):
     monkeypatch.setattr(real_herm, "is_real_decomposable", broken)
     with pytest.raises(RuntimeError, match="bug in the reality check"):
         sep.separability_pipeline(tensor_62(), "REAL", effort=1, seed=0)
+
+
+@pytest.mark.parametrize("field", core.FIELDS)
+def test_tiny_tensor_is_not_the_zero_tensor(field):
+    # its squared entries underflow, so an unscaled norm called it 0 and
+    # the pipeline certified it with no terms
+    h = core.rank1(1e-200, [np.ones(2), np.ones(3)])
+    res = sep.separability_pipeline(h, field)
+    assert res.status == "SEPARABLE_CERTIFIED" and len(res.decomposition) >= 1
+    assert dec.residual(res.decomposition, h) <= core.TOL.sepTol * core.norm(h)
+    assert not dec.fits(dec.HermitianDecomposition(h.dims, ()), h, core.TOL.sepTol)
