@@ -34,20 +34,17 @@ class Tolerances:
     ``dataclasses.replace(TOL, eigTol=1e-9)`` as ``tols`` to override one.
     Each is relative, so no verdict depends on the unit of the input: to
     ``norm(h)`` on a tensor quantity, to the matrix's own largest |eigenvalue|
-    on a spectrum."""
+    on a spectrum.  A certificate fits its tensor within ``fitTol``, or
+    ``rdTol`` when an exact real construction made it."""
 
     symTol: float = 1e-9  # conjugate and entry symmetry, times the norm
     eigTol: float = 1e-10  # psd tests: least eigenvalue >= -eigTol * largest |eigenvalue|
     rankTol: float = 1e-8  # matrix rank: singular values above rankTol * largest
-    cpTol: float = 1e-7  # Jennrich residual, times the norm
-    rdTol: float = 1e-8  # real decomposition residual, times the norm
-    nfTol: float = 1e-8  # [2,2] normal form reconstruction, times its largest entry
+    fitTol: float = 1e-7  # mismatch of a numerical certificate with its tensor, times the norm
+    rdTol: float = 1e-8  # real construction mismatch, times the norm (the [2,2] normal form: its largest entry)
     eigTupleTol: float = 1e-8  # eigentuple stationarity residual, times the norm
     eigGapTol: float = 1e-6  # nonzero eigenvalues closer than this times the largest repeat
-    r1Tol: float = 1e-7  # rank-1 residual of a unit eigentensor
-    gramTol: float = 1e-7  # CSOS coefficient mismatch, times the norm
     witTol: float = 1e-9  # a witness value must lie below -witTol times the norm (of both, for <a, b>)
-    sepTol: float = 1e-7  # positive decomposition residual, times the norm
 
     def __post_init__(self):
         # NaN fails every comparison and a negative or infinite value flips
@@ -236,29 +233,49 @@ def rank1(lam: float, vectors, dims=None) -> HermitianTensor:
 
 
 def inner(a: HermitianTensor, b: HermitianTensor, tols: Tolerances = TOL) -> float:
-    """Real inner product sum_{I,J} a[I,J] * conj(b[I,J]); an imaginary
-    residue above ``symTol`` * ||a|| ||b|| raises ``NonRealInner``."""
+    """Real inner product sum_{I,J} a[I,J] * conj(b[I,J]), taken on a and b
+    scaled into the float range (``_in_range``) and scaled back; an
+    imaginary residue above ``symTol`` * ||a|| ||b|| raises ``NonRealInner``."""
     if a.dims != b.dims:
         raise ShapeMismatch(f"shapes differ: {a.dims} vs {b.dims}")
-    val = complex(np.vdot(b.mat, a.mat))
-    bound = tols.symTol * norm(a) * norm(b)
+    (sa, ea), (sb, eb) = _in_range(a), _in_range(b)
+    val = complex(np.vdot(sb.mat, sa.mat))
+    bound = tols.symTol * norm(sa) * norm(sb)
+    with np.errstate(over="ignore"):  # a value beyond the float range is +-inf
+        imag, limit, real = np.ldexp([val.imag, bound, val.real], ea + eb).tolist()
     if abs(val.imag) > bound:
-        raise NonRealInner(f"imaginary residue {val.imag:.3e} exceeds {bound:.1e}")
-    return float(val.real)
+        raise NonRealInner(f"imaginary residue {imag:.3e} exceeds {limit:.1e}")
+    return real
+
+
+def _scaled(a) -> tuple[np.ndarray, int]:
+    """``(s, e)`` with s = a * 2^-e: a complex array whose largest real or
+    imaginary part lies outside [2^-450, 2^450] is scaled by the power of
+    two near that part, so the squares and pairwise products of its
+    entries stay in the float range; inside the range it comes back as it
+    is, with e = 0.  Between the bounds, the 2N^2 <= 2^25 squares of an
+    N <= 4096 array sum below 2^925."""
+    x = np.ascontiguousarray(a, dtype=np.complex128)
+    big = float(np.abs(x.view(np.float64)).max(initial=0.0))
+    if 0.0 < big < 2.0 ** -450 or 2.0 ** 450 < big < math.inf:
+        e = int(np.frexp(big)[1])
+        return np.ldexp(x.view(np.float64), -e).view(np.complex128), e
+    return x, 0
+
+
+def _in_range(h: HermitianTensor) -> tuple[HermitianTensor, int]:
+    """``(h * 2^-e, e)`` by ``_scaled``: ``(h, 0)`` when h is in the range."""
+    s, e = _scaled(h.mat)
+    return (HermitianTensor(h.dims, s), e) if e else (h, 0)
 
 
 def _frobenius(a) -> float:
     """Frobenius norm of an array, with no underflow or overflow: entries
     whose squares would leave the float range (``np.linalg.norm`` gives 0
-    for entries of 1e-200) are first scaled, exactly, by a power of two
-    near the largest.  Between the bounds, the 2N^2 <= 2^25 squares sum
-    below 2^925, and each underflowed square is below 2^-122 of the sum."""
-    x = np.ascontiguousarray(a, dtype=np.complex128).view(np.float64)
-    big = float(np.abs(x).max(initial=0.0))
-    if 0.0 < big < 2.0 ** -450 or 2.0 ** 450 < big < math.inf:
-        e = int(np.frexp(big)[1])
-        return float(np.ldexp(np.linalg.norm(np.ldexp(x, -e)), e))
-    return float(np.linalg.norm(x))
+    for entries of 1e-200) are first scaled by ``_scaled``; each square
+    that still underflows is below 2^-122 of the sum."""
+    s, e = _scaled(a)
+    return math.ldexp(float(np.linalg.norm(s.view(np.float64))), e)
 
 
 def norm(a: HermitianTensor) -> float:

@@ -87,7 +87,7 @@ def residual(d: HermitianDecomposition, h: core.HermitianTensor) -> float:
 
 def fits(d: HermitianDecomposition, h: core.HermitianTensor, tol: float) -> bool:
     """True iff d reassembles h within ``tol * norm(h)``: the one rule of
-    every decomposition gate (``cpTol``, ``rdTol``, ``sepTol``)."""
+    every decomposition gate (``fitTol``; ``rdTol`` for real constructions)."""
     return residual(d, h) <= tol * core.norm(h)
 
 
@@ -231,24 +231,27 @@ def jennrich_decompose(
     the pair exposes the combined mode vectors, which are split per mode
     by rank-1 factorization and completed with a real least-squares fit
     of the coefficients.  Returns Unknown when the mixture spectrum is
-    degenerate or the residual stays above ``cpTol * norm(h)``; the rank
-    of the first unfolding, at ``rankTol``, caps the term count.
+    degenerate or the residual stays above ``fitTol * norm(h)``; the rank
+    of the first unfolding, at ``rankTol``, caps the term count.  A tensor
+    outside the float range of ``core._in_range`` is decomposed scaled, and
+    its coefficients are scaled back.
     """
-    cubic = flatten.cubic_flatten(h)
+    hs, e = core._in_range(h)
+    cubic = flatten.cubic_flatten(hs)
     n3 = cubic.dims[2]
     if not 1 <= rmax <= n3:
         raise RankBudgetExceeded(f"rmax = {rmax} outside the regime 1 <= r <= N3 = {n3}")
     if h.order == 1:
         # matrix case: the spectral decomposition already is the answer
-        pairs = linalg.herm_part_eig(h.mat).kept(1e-12)
+        pairs = linalg.herm_part_eig(hs.mat).kept(1e-12)
         pairs.sort(key=lambda p: -abs(p[0]))
         terms = tuple((w, (linalg.phase_normalize(v),)) for w, v in pairs[:rmax])
     else:
-        terms = _jennrich_terms(h, cubic, rmax, seed, tols)
+        terms = _jennrich_terms(hs, cubic, rmax, seed, tols)
         if isinstance(terms, Unknown):
             return terms
-    d = HermitianDecomposition(h.dims, terms)
-    if not fits(d, h, tols.cpTol):
+    d = HermitianDecomposition(h.dims, tuple((math.ldexp(w, e), vs) for w, vs in terms))
+    if not fits(d, h, tols.fitTol):
         return Unknown("residual above tolerance at the requested rank budget")
     return d
 

@@ -288,7 +288,7 @@ def csos_test(
 
     Alternating projections between the psd cone and the affine
     coefficient-matching set; FEASIBLE when a psd iterate matches all
-    coefficients within ``gramTol * norm(h)``.  The first stall of the
+    coefficients within ``fitTol * norm(h)``.  The first stall of the
     distance between the two sets yields INFEASIBLE_HINT, which is a
     heuristic only; the iteration cap yields UNKNOWN with the residual of
     the last psd iterate.
@@ -302,7 +302,7 @@ def csos_test(
     basis, cmap, rows, blocks, sizes = _charge_blocks(h.dims)
     gids = blocks.gram_ids
     targets = cmap.of_tensor(h)
-    gram_tol = tols.gramTol * core.norm(h)
+    fit_tol = tols.fitTol * core.norm(h)
 
     def affine(w, sums):  # sums: blocks.of_gram(w)
         out = w + ((targets - sums) / sizes)[gids]
@@ -315,14 +315,14 @@ def csos_test(
         p = linalg.psd_project(w)
         sums = blocks.of_gram(p)
         res = float(np.abs(sums - targets).max())
-        if res <= gram_tol:
+        if res <= fit_tol:
             full = np.zeros((len(basis),) * 2, dtype=np.complex128)
             full[rows[:, :, None], rows[:, None, :]] = p
             res = cmap.residual(full, targets)
             return CsosResult("FEASIBLE", GramCertificate(h.dims, basis, full, res), it, res)
         w = affine(p, sums)
         dist_hist.append(float(np.linalg.norm(w - p)))
-        if len(dist_hist) >= 80 and res > 10.0 * gram_tol:
+        if len(dist_hist) >= 80 and res > 10.0 * fit_tol:
             recent, past = dist_hist[-1], dist_hist[-60]
             if past > 0 and recent >= past * (1.0 - 1e-5):
                 return CsosResult("INFEASIBLE_HINT", None, it, res)

@@ -177,7 +177,7 @@ def normal_form_22(h: core.HermitianTensor, tols: core.Tolerances = core.TOL) ->
     identity, and the middle block rotated to diagonal.  A negative
     semidefinite target is handled on the negated tensor (s = -1).  The
     blocks come from ``real_decomposable_array(h)``; the normal form must
-    reproduce ``h`` within ``nfTol``.
+    reproduce ``h`` within ``rdTol`` times its own largest entry.
     """
     if h.dims != (2, 2):
         raise NotShape22(f"expected shape (2, 2), got {h.dims}")
@@ -247,7 +247,7 @@ def _check_normal_form(h: core.HermitianTensor, nf: NormalForm22, tols: core.Tol
     got = core.congruent([nf.P.astype(complex), nf.Q.astype(complex)], h, tols).mat.real
     want = _normal_form_matrix(nf)
     dev = float(np.abs(got - want).max())
-    if dev > tols.nfTol * float(np.abs(want).max()):
+    if dev > tols.rdTol * float(np.abs(want).max()):
         raise ConstructionFailed(f"normal form reconstruction off by {dev:.3e}")
 
 

@@ -77,7 +77,7 @@ def verify_positive_decomposition(
     tols: core.Tolerances = core.TOL,
 ) -> bool:
     """True iff d has positive coefficients and reassembles a within
-    sepTol * norm(a) (real vectors required for the REAL field)."""
+    fitTol * norm(a) (real vectors required for the REAL field)."""
     core.check_field(field_name)
     if d.dims != a.dims:
         raise ShapeMismatch(f"shapes differ: {d.dims} vs {a.dims}")
@@ -85,7 +85,7 @@ def verify_positive_decomposition(
         return False
     if field_name == "REAL" and any(np.any(v.imag != 0.0) for _, vs in d.terms for v in vs):
         return False
-    return fits(d, a, tols.sepTol)
+    return fits(d, a, tols.fitTol)
 
 
 def psd_kron_verify(
@@ -138,12 +138,14 @@ def dual_witness_check(
 ) -> DualWitnessResult:
     """Duality refutation: b psd (flattening certificate) and <a, b> < 0
     (below ``-witTol * norm(a) * norm(b)``) prove a is not separable over
-    either field."""
+    either field.  That bound is taken on a and b scaled into the float
+    range (``core._in_range``), where neither side underflows."""
     if a.dims != b.dims:
         raise ShapeMismatch(f"shapes differ: {a.dims} vs {b.dims}")
     val = core.inner(a, b, tols)
     hs = psd_sos.hsos_test(b, tols)
-    if hs.is_hsos and val < -tols.witTol * core.norm(a) * core.norm(b):
+    (sa, _), (sb, _) = core._in_range(a), core._in_range(b)
+    if hs.is_hsos and core.inner(sa, sb, tols) < -tols.witTol * core.norm(sa) * core.norm(sb):
         return DualWitnessResult("ENTANGLED_WITNESS", val, hs.certificate)
     return DualWitnessResult("INCONCLUSIVE", val)
 
@@ -161,7 +163,7 @@ def separable_search(
     Per sweep, each term's mode vectors are set to the top eigenvector of
     the residual contraction and the coefficients are refit by least
     squares, clamped positive.  All starts advance in lock-step; the
-    result is the first start (in start order) to fit within ``sepTol``,
+    result is the first start (in start order) to fit within ``fitTol``,
     else the one with the smallest residual.  Certifies separability on
     success and returns UNKNOWN otherwise (refutation needs a dual
     witness), at once when the flattening rank (at ``rankTol``) exceeds r.
@@ -181,13 +183,16 @@ def _budget_search(a, seeds, iters, starts, tols):
     since that smaller budget certifies.  Returns {r: SepVerdict} in
     ascending r for every budget up to the smallest one with a fitted
     start (every budget when none fits); each verdict is what
-    ``separable_search`` gives on that budget alone.
+    ``separable_search`` gives on that budget alone.  A tensor outside the
+    float range of ``core._in_range`` is searched scaled, and its
+    coefficients and residuals are scaled back.
     """
-    anorm = core.norm(a)
+    h, e = core._in_range(a)
+    anorm = core.norm(h)
     if anorm == 0.0:
-        return {min(seeds): SepVerdict("SEPARABLE_CERTIFIED", decomposition=HermitianDecomposition(a.dims, ()),
+        return {min(seeds): SepVerdict("SEPARABLE_CERTIFIED", decomposition=HermitianDecomposition(h.dims, ()),
                                        note="zero tensor: empty positive decomposition")}
-    mrank = linalg.matrix_rank(a.mat, tols.rankTol)
+    mrank = linalg.matrix_rank(h.mat, tols.rankTol)
     verdicts = {r: SepVerdict("UNKNOWN", note=f"flattening rank {mrank} exceeds the budget r={r}; "
                                               "no decomposition of that length exists")
                 for r in sorted(seeds) if r < mrank}
@@ -199,10 +204,10 @@ def _budget_search(a, seeds, iters, starts, tols):
     live_term = np.arange(rmax) < rb[:, None]
     rngs = {r: np.random.Generator(np.random.PCG64(seeds[r])) for r in budgets}
     # xs[k] holds mode k+1 of every row and term: (rows, rmax, n_k)
-    xs = [np.zeros((len(rb), rmax, n), dtype=np.complex128) for n in a.dims]
+    xs = [np.zeros((len(rb), rmax, n), dtype=np.complex128) for n in h.dims]
     for row, r in enumerate(rb):
         for i in range(r):
-            for x, n in zip(xs, a.dims):
+            for x, n in zip(xs, h.dims):
                 x[row, i] = _random_unit(rngs[r], n)
     lams = np.where(live_term, anorm / rb[:, None], 0.0)
     zs = core.kron_vector(xs)
@@ -210,7 +215,7 @@ def _budget_search(a, seeds, iters, starts, tols):
     act = np.arange(len(rb))  # rows still running
     first_ok = np.full(len(budgets), starts)  # per budget, lowest start that fit
     last = len(budgets)  # index of the smallest budget with a fitted start
-    thresh = 0.2 * tols.sepTol * anorm
+    thresh = 0.2 * tols.fitTol * anorm
     for _ in range(iters):
         for i in range(rmax):
             rows = act[rb[act] > i]
@@ -218,8 +223,8 @@ def _budget_search(a, seeds, iters, starts, tols):
                 continue
             others = lams[rows]
             others[:, i] = 0.0
-            res_arr = (a.mat - core._rank1_sum(others, zs[rows])).reshape((len(rows),) + a.dims * 2)
-            for k, n in enumerate(a.dims):
+            res_arr = (h.mat - core._rank1_sum(others, zs[rows])).reshape((len(rows),) + h.dims * 2)
+            for k, n in enumerate(h.dims):
                 mk = spectral._mode_matrices(res_arr, [x[rows, i] for x in xs], k + 1)
                 sd = linalg.herm_part_eig(mk)
                 v = sd.eigenvectors[:, :, -1]
@@ -229,12 +234,12 @@ def _budget_search(a, seeds, iters, starts, tols):
             zs[rows, i] = core.kron_vector([x[rows, i] for x in xs])
         z = zs[act]
         gram = np.abs(z.conj() @ np.swapaxes(z, 1, 2)) ** 2
-        rhs = np.real(np.einsum("bip,pq,biq->bi", z.conj(), a.mat, z))
+        rhs = np.real(np.einsum("bip,pq,biq->bi", z.conj(), h.mat, z))
         # pinv at the cutoff lstsq(rcond=None) uses on the unpadded system;
         # the zero rows and columns of padded terms are cut and solve to 0
         sol = np.linalg.pinv(gram, rcond=np.finfo(float).eps * rb[act]) @ rhs[:, :, None]
         lams[act] = np.clip(sol[:, :, 0], 1e-12 * anorm, None) * live_term[act]
-        res[act] = np.linalg.norm(a.mat - core._rank1_sum(lams[act], z), axis=(1, 2))
+        res[act] = np.linalg.norm(h.mat - core._rank1_sum(lams[act], z), axis=(1, 2))
         ok = res[act] <= thresh
         np.minimum.at(first_ok, act[ok] // starts, act[ok] % starts)
         last = int(np.append(first_ok < starts, True).argmax())
@@ -246,7 +251,8 @@ def _budget_search(a, seeds, iters, starts, tols):
     for b, r in enumerate(budgets[:last + 1]):
         rows = slice(b * starts, (b + 1) * starts)
         pick = b * starts + (first_ok[b] if first_ok[b] < starts else int(np.argmin(res[rows])))
-        verdicts[r] = _fitted_verdict(a, lams[pick, :r], [x[pick, :r] for x in xs], res[pick], tols)
+        verdicts[r] = _fitted_verdict(a, np.ldexp(lams[pick, :r], e), [x[pick, :r] for x in xs],
+                                      math.ldexp(res[pick], e), tols)
     return verdicts
 
 

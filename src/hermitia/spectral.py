@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core, flatten, linalg, real_herm
+from .decomposition import HermitianDecomposition, normalize
 from .errors import ShapeMismatch
 
 DEDUP_VALUE_TOL = 1e-6
@@ -224,14 +225,14 @@ def orthogonal_decompose(h: core.HermitianTensor, tols: core.Tolerances = core.T
 
     H = sum_i lambda_i U_i (x) conj(U_i) with pairwise orthogonal, unit
     U_i; eigenvalues below ``rankTol`` (relative) are dropped.  Each term
-    carries its best rank-1 relative residual, rank-1 within ``r1Tol``.
+    carries its best rank-1 relative residual, rank-1 within ``fitTol``.
     """
     sd = linalg.herm_part_eig(flatten.hermitian_flatten(h).mat)
     terms = []
     for w, v in sd.kept(tols.rankTol):
         u = v.reshape(h.dims)
         _, res = linalg.rank1_factor(u)
-        terms.append(OrthoTerm(w, u, res, res <= tols.r1Tol))
+        terms.append(OrthoTerm(w, u, res, res <= tols.fitTol))
     return OrthoDecomp(h.dims, tuple(terms))
 
 
@@ -252,8 +253,6 @@ def unitary_decomposable(h: core.HermitianTensor, tols: core.Tolerances = core.T
     first offending term otherwise.  Repeated nonzero eigenvalues (within
     ``eigGapTol``, relative) leave the question open here: INCONCLUSIVE.
     """
-    from .decomposition import HermitianDecomposition, normalize
-
     od = orthogonal_decompose(h, tols)
     if not od.terms:
         return UnitaryReport("YES", HermitianDecomposition(h.dims, ()))

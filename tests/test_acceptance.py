@@ -193,7 +193,7 @@ def test_criterion_7_separability():
     a62 = flatten.hermitian_unflatten(separable_62_matrix(), (2, 2))
     verifyable = sep.psd_kron_verify(pk, a62)
     converted = sep.psd_kron_to_decomposition(pk)
-    reverify = sep.verify_positive_decomposition(converted, a62, tols=core.Tolerances(sepTol=1e-9))
+    reverify = sep.verify_positive_decomposition(converted, a62, tols=core.Tolerances(fitTol=1e-9))
     hank = hankel_tensor()
     value = core.inner(hank, hankel_witness())
     witness = sep.dual_witness_check(hank, hankel_witness())

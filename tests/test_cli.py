@@ -416,14 +416,6 @@ def test_sym_tol_reaches_the_loader(tmp_path):
     assert run(["--tol", "symTol=1e-8", "sep-witness", str(ident), "--witness", str(path)]) in (1, 2)
 
 
-def test_nf_tol_reaches_the_normal_form(hankel_file, capsys):
-    assert run(["real-decompose-22", hankel_file]) == 0
-    capsys.readouterr()
-    # the normal form reconstructs to about 1e-16, never to 1e-300
-    assert run(["--json", "--tol", "nfTol=1e-300", "real-decompose-22", hankel_file]) == 2
-    assert "normal form" in json.loads(capsys.readouterr().out)["detail"]
-
-
 def test_real_decompose_bound_honours_rank_tol(tmp_path, capsys):
     # e1111 + 1e-7 e2222: flattening rank 2 at the default rankTol, 1 at 1e-5
     e = [core.basis_tensor(I, I, 1.0, (2, 2)) for I in ((1, 1), (2, 2))]
@@ -438,11 +430,12 @@ def test_real_decompose_bound_honours_rank_tol(tmp_path, capsys):
 
 @pytest.mark.parametrize("verb", ["real-decompose", "real-decompose-22"])
 def test_failed_real_construction_is_unknown(verb, hankel_file, capsys):
-    # the residual is about 5e-15, so rdTol=1e-300 fails the construction's own check
+    # the residual is about 5e-15, so rdTol=1e-300 fails the construction's
+    # own check, which on [2,2] is first the normal form's
     assert run(["--json", "--tol", "rdTol=1e-300", verb, hankel_file]) == 2
     report = json.loads(capsys.readouterr().out)
     assert report["status"] == "UNKNOWN"
-    assert "residual" in report["detail"]
+    assert ("normal form" if verb == "real-decompose-22" else "residual") in report["detail"]
 
 
 VERB_ARGV = {
@@ -563,21 +556,21 @@ TOL_CASES = {
                  {"a": lambda: core.validate((2, 2), np.diag([1.0, 0, 0, 0]) + 1e-9 * np.outer(_W, _W))},
                  [], (0, 1)),
                 ("1e-5", ["kruskal", "{d}"], {"d": _near_parallel_terms}, [], (0, 2))],
-    "cpTol": [("1e-4", ["jennrich", "{a}", "--rmax", "1"], {"a": lambda: _rank1_plus(1e-6)}, [], (2, 0))],
-    "rdTol": [("1e-6", ["real-decompose", "{a}"], {"a": near_real_decomposable}, ["symTol=1e-6"], (2, 0))],
-    "nfTol": [("1e-6", ["real-decompose-22", "{a}"], {"a": near_real_decomposable},
-               ["symTol=1e-6", "rdTol=1e-6"], (2, 0))],
+    "fitTol": [("1e-4", ["jennrich", "{a}", "--rmax", "1"], {"a": lambda: _rank1_plus(1e-6)}, [], (2, 0)),
+               ("1e-5", ["unitary-check", "{a}"],
+                {"a": lambda: _outer([1, 0, 0, 1e-6] / np.hypot(1, 1e-6))}, [], (1, 0)),
+               ("1", ["csos", "{a}", "--iters", "5"], {"a": csos_not_hsos_tensor}, [], (2, 0)),
+               ("1e-5", ["sep-verify", "{a}", "--decomposition", "{d}"],
+                {"a": lambda: core.validate((2, 2), dec.assemble(_SV).mat + 1e-6 * np.eye(4)),
+                 "d": lambda: _SV}, [], (1, 0))],
+    # the normal form deviates by about 5e-8 here, so rdTol=1e-6 passes both of its checks
+    "rdTol": [("1e-6", ["real-decompose", "{a}"], {"a": near_real_decomposable}, ["symTol=1e-6"], (2, 0)),
+              ("1e-6", ["real-decompose-22", "{a}"], {"a": near_real_decomposable}, ["symTol=1e-6"], (2, 0))],
     "eigTupleTol": [("1e-300", ["psd", "{a}"], {"a": cr_psd_ii_tensor}, [], (1, 2))],
     "eigGapTol": [("1e-4", ["unitary-check", "{a}"], {"a": lambda: _diag(1, 1 + 1e-5, 0, 0)}, [], (0, 2))],
-    "r1Tol": [("1e-5", ["unitary-check", "{a}"],
-               {"a": lambda: _outer([1, 0, 0, 1e-6] / np.hypot(1, 1e-6))}, [], (1, 0))],
-    "gramTol": [("1", ["csos", "{a}", "--iters", "5"], {"a": csos_not_hsos_tensor}, [], (2, 0))],
     # <a, b> = -4e-8 against norm(a) * norm(b) = 2.83: below -witTol times the norms at 1e-9, not at 1e-7
     "witTol": [("1e-7", ["sep-witness", "{a}", "--witness", "{b}"],
                 {"a": lambda: _diag(1, -1 - 4e-8, 0, 0), "b": lambda: core.identity_tensor((2, 2))}, [], (1, 2))],
-    "sepTol": [("1e-5", ["sep-verify", "{a}", "--decomposition", "{d}"],
-                {"a": lambda: core.validate((2, 2), dec.assemble(_SV).mat + 1e-6 * np.eye(4)),
-                 "d": lambda: _SV}, [], (1, 0))],
 }
 
 
@@ -623,7 +616,7 @@ def test_real_verbs_agree_at_sym_tol(tmp_path, capsys):
     assert _json_run(sym + ["real-check", path], capsys) == (0, {"real_decomposable": True})
     for verb in ("real-decompose", "real-decompose-22"):
         assert _json_run(sym + [verb, path], capsys)[1]["status"] == "UNKNOWN"
-        code, report = _json_run(sym + ["--tol", "rdTol=1e-6", "--tol", "nfTol=1e-6", verb, path], capsys)
+        code, report = _json_run(sym + ["--tol", "rdTol=1e-6", verb, path], capsys)
         # the construction decomposes the averaged entries, 1 + 5e-8 at all four
         assert code == 0 and report["residual"] == pytest.approx(1e-7, rel=1e-3)
 

@@ -53,7 +53,7 @@ def dense_csos(h, iters=ps.CSOS_ITERS):
     gids, k = cmap.gram_ids, len(basis)
     sizes = np.bincount(gids, minlength=cmap.ngroups)
     targets = cmap.of_tensor(h)
-    gram_tol = core.TOL.gramTol * core.norm(h)
+    fit_tol = core.TOL.fitTol * core.norm(h)
 
     def affine(w):
         out = w + ((targets - cmap.of_gram(w)) / sizes)[gids].reshape(k, k)
@@ -63,11 +63,11 @@ def dense_csos(h, iters=ps.CSOS_ITERS):
     for it in range(1, iters + 1):
         p = linalg.psd_project(w)
         res = cmap.residual(p, targets)
-        if res <= gram_tol:
+        if res <= fit_tol:
             return "FEASIBLE", it, p
         w = affine(p)
         dists.append(float(np.linalg.norm(w - p)))
-        if len(dists) >= 80 and res > 10.0 * gram_tol and 0 < dists[-60]:
+        if len(dists) >= 80 and res > 10.0 * fit_tol and 0 < dists[-60]:
             if dists[-1] >= dists[-60] * (1.0 - 1e-5):
                 return "INFEASIBLE_HINT", it, None
     return "UNKNOWN", iters, None
@@ -109,7 +109,7 @@ class TestCsos:
         cert = res.certificate
         assert linalg.herm_eig(cert.W).eigenvalues[0] >= -1e-9
         h = csos_not_hsos_tensor()
-        assert ps.gram_reconstruct_residual(h, cert) <= core.TOL.gramTol * core.norm(h)
+        assert ps.gram_reconstruct_residual(h, cert) <= core.TOL.fitTol * core.norm(h)
 
     def test_hsos_true_is_feasible(self, rng):
         h = random_psd_tensor(rng, (2, 2), 2)
@@ -162,7 +162,7 @@ class TestCsos:
         assert cert.W.shape == (2 ** len(dims) * core.size_of(dims),) * 2
         w = np.linalg.eigvalsh(cert.W)
         assert w[0] >= -core.TOL.eigTol * np.abs(w).max()
-        assert res.residual == ps.gram_reconstruct_residual(h, cert) <= core.TOL.gramTol * core.norm(h)
+        assert res.residual == ps.gram_reconstruct_residual(h, cert) <= core.TOL.fitTol * core.norm(h)
 
 
 class TestGramResidualValidation:

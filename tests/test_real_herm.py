@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hermitia import core, decomposition as dec, flatten, real_herm as rh
-from hermitia.errors import NotRealDecomposable, NotShape22, RealityViolation
+from hermitia.errors import ConstructionFailed, NotRealDecomposable, NotShape22, RealityViolation
 
 from conftest import hankel_tensor, random_unit
 
@@ -175,6 +175,12 @@ class TestRealDecompose:
 
 
 class TestNormalForm22:
+    def test_rd_tol_bounds_the_reconstruction(self):
+        # the normal form reconstructs to about 1e-16 of its largest entry
+        rh.normal_form_22(hankel_tensor())
+        with pytest.raises(ConstructionFailed, match="normal form reconstruction off by"):
+            rh.normal_form_22(hankel_tensor(), core.Tolerances(rdTol=1e-300))
+
     def test_identity_blocks(self):
         m = np.zeros((4, 4))
         m[:2, :2] = np.eye(2)

@@ -14,7 +14,7 @@ import pytest
 
 from hermitia import cli, core, decomposition as dec, io as hio, psd_sos, separability as sep
 
-from conftest import csos_not_hsos_tensor, hankel_tensor, random_unit, random_unitary
+from conftest import csos_not_hsos_tensor, hankel_tensor, hankel_witness, random_unit, random_unitary
 
 SCALES = [1.0, 1e-6, 1e-12, 1e-16]
 
@@ -45,13 +45,37 @@ def test_entangled_hankel_is_never_certified(s):
     assert sep.separable_search(h, 2, seed=0).status != "SEPARABLE_CERTIFIED"
 
 
-@pytest.mark.parametrize("s", SCALES + [1e-100])
+# beyond 2^+-450 the squares of the entries leave the float range, so these
+# run on the input scaled by a power of two
+FAR = [pytest.param(2.0 ** e, id=f"2^{e}") for e in (-560, 560)]
+
+
+@pytest.mark.parametrize("s", SCALES + [1e-100] + FAR)
 def test_jennrich_recovers_a_scaled_rank1_term(s, rng):
     h = core.rank1(s, [random_unit(rng, 2), random_unit(rng, 3)])
     out = dec.jennrich_decompose(h, 1, seed=0)
     assert isinstance(out, dec.HermitianDecomposition)
     assert len(out.terms) == 1
-    assert dec.residual(out, h) <= core.TOL.cpTol * core.norm(h)
+    assert dec.residual(out, h) <= core.TOL.fitTol * core.norm(h)
+
+
+@pytest.mark.parametrize("s", [1.0, 1e-100, 1e-170] + FAR)
+def test_hankel_witness_refutes_at_every_scale(s, tmp_path):
+    # at 1e-170 each, <a, b> and norm(a) * norm(b) are below the float range
+    paths = [tmp_path / "a.hten", tmp_path / "b.hten"]
+    for path, h in zip(paths, (hankel_tensor(), hankel_witness())):
+        hio.save(path, _scaled(h, s))
+    assert sep.dual_witness_check(*(hio.load_hten(p) for p in paths)).status == "ENTANGLED_WITNESS"
+    assert cli.run(["sep-witness", str(paths[0]), "--witness", str(paths[1])]) == 1
+
+
+@pytest.mark.parametrize("s", [1.0, pytest.param(2.0 ** -500, id="2^-500")] + FAR)
+@pytest.mark.parametrize("verb", [["jennrich", "--rmax", "2"], ["sep-pipeline"]], ids=["jennrich", "sep-pipeline"])
+def test_rank2_33_fits_far_from_unit_scale(verb, s, tmp_path):
+    h = _terms((3, 3), [1.0, 2.0], np.random.default_rng(3))
+    path = tmp_path / "h.hten"
+    hio.save(path, _scaled(h, s))
+    assert cli.run([*verb, str(path)]) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ class TestVerifyPositive:
 
     def test_62_reconstruction_real(self):
         d = sep.psd_kron_to_decomposition(pk_62())
-        assert sep.verify_positive_decomposition(d, tensor_62(), "REAL", tols=core.Tolerances(sepTol=1e-9))
+        assert sep.verify_positive_decomposition(d, tensor_62(), "REAL", tols=core.Tolerances(fitTol=1e-9))
 
     def test_real_field_rejects_complex_vectors(self, rng):
         terms = ((1.0, (random_unit(rng, 2), random_unit(rng, 2))),)
@@ -236,7 +236,7 @@ class TestBudgetLockstep:
         assert list(got) == [1, 2]
         assert "flattening rank" in got[1].note
         fit = got[2].decomposition
-        assert dec.residual(fit, a) <= 0.2 * core.TOL.sepTol * core.norm(a)
+        assert dec.residual(fit, a) <= 0.2 * core.TOL.fitTol * core.norm(a)
         for r, v in got.items():
             want = sep.separable_search(a, r, seed=seeds[r])
             assert_same_verdict(v, want)
@@ -342,7 +342,7 @@ class TestWootters:
             assert lam > 0 and len(vs) == 2
             if field_name == "REAL":
                 assert all(np.all(v.imag == 0) for v in vs)
-        # rounding-level, far inside sepTol: closing the polygon by angles
+        # rounding-level, far inside fitTol: closing the polygon by angles
         # (arccos near -1) instead of coordinates left about 3e-9 here
         assert dec.residual(d, a) <= 1e-11 * core.norm(a)
         assert sep.verify_positive_decomposition(d, a, field_name)
@@ -484,5 +484,5 @@ def test_tiny_tensor_is_not_the_zero_tensor(field):
     h = core.rank1(1e-200, [np.ones(2), np.ones(3)])
     res = sep.separability_pipeline(h, field)
     assert res.status == "SEPARABLE_CERTIFIED" and len(res.decomposition) >= 1
-    assert dec.residual(res.decomposition, h) <= core.TOL.sepTol * core.norm(h)
-    assert not dec.fits(dec.HermitianDecomposition(h.dims, ()), h, core.TOL.sepTol)
+    assert dec.residual(res.decomposition, h) <= core.TOL.fitTol * core.norm(h)
+    assert not dec.fits(dec.HermitianDecomposition(h.dims, ()), h, core.TOL.fitTol)
