@@ -74,6 +74,17 @@ def hankel_witness() -> core.HermitianTensor:
                             np.array([1.0, -5.0 / 6.0], dtype=complex)])
 
 
+# The retired tolerance names: the field that absorbed each one and the verb
+# whose check it used to set.  No name here is a field or a `--tol` key.
+MERGED_TOLERANCES = {
+    "cpTol": ("fitTol", "jennrich"),
+    "r1Tol": ("fitTol", "unitary-check"),
+    "gramTol": ("fitTol", "csos"),
+    "sepTol": ("fitTol", "sep-verify"),
+    "nfTol": ("rdTol", "real-decompose-22"),
+}
+
+
 def random_unitary(rng, n: int) -> np.ndarray:
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     q, r = np.linalg.qr(g)

@@ -11,7 +11,7 @@ from hermitia.errors import (
     SymmetryViolation,
 )
 
-from conftest import cr_psd_ii_tensor, hankel_tensor, hankel_witness, random_unitary
+from conftest import MERGED_TOLERANCES, cr_psd_ii_tensor, hankel_tensor, hankel_witness, random_unitary
 
 
 def brute_force_matmul(ms, t):
@@ -341,13 +341,21 @@ def test_degenerate_mode_sizes(rng):
 
 
 class TestTolerances:
-    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(core.Tolerances)])
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(core.Tolerances)]
+                             + list(MERGED_TOLERANCES))
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), -1e-12])
     def test_rejects_non_finite_and_negative_fields(self, name, value):
-        with pytest.raises(ValueError, match=f"tolerance {name} must be finite and >= 0"):
-            core.Tolerances(**{name: value})
+        # a retired name is no field: its value check runs on the field that absorbed it
+        field = MERGED_TOLERANCES.get(name, (name,))[0]
+        with pytest.raises(ValueError, match=f"tolerance {field} must be finite and >= 0"):
+            core.Tolerances(**{field: value})
         with pytest.raises(ValueError):
-            dataclasses.replace(core.TOL, **{name: value})
+            dataclasses.replace(core.TOL, **{field: value})
+        if field != name:
+            with pytest.raises(TypeError):
+                core.Tolerances(**{name: value})
+            with pytest.raises(TypeError):
+                dataclasses.replace(core.TOL, **{name: value})
 
     def test_nan_sym_tol_no_longer_admits_a_non_hermitian_matrix(self):
         with pytest.raises(ValueError):
