@@ -17,9 +17,8 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import sys
-
-import numpy as np
 
 from . import core, decomposition, flatten, io, linalg, psd_sos, real_herm, separability, spectral
 from .errors import (
@@ -98,24 +97,20 @@ def _complex_arg(text: str) -> complex:
 
 
 def _jsonable(obj):
+    """The report with each non-finite float spelled as the text report
+    spells it ("inf", "-inf", "nan"), which strict JSON lacks."""
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
-    if isinstance(obj, np.ndarray):
-        if np.iscomplexobj(obj):
-            return [_jsonable(complex(z)) for z in obj.reshape(-1)]
-        return [float(x) for x in obj.reshape(-1)]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return _fmt_val(obj)
     return obj
 
 
 def _emit(report: dict, as_json: bool):
     if as_json:
-        print(json.dumps(_jsonable(report), sort_keys=True))
+        print(json.dumps(_jsonable(report), sort_keys=True, allow_nan=False))
         return
     for key, value in report.items():
         if isinstance(value, (list, tuple)) and value and isinstance(value[0], dict):
@@ -287,9 +282,9 @@ def _unitary_check(h, args, tols):
 @_verb("hsos", _GRAM_OUT)
 def _hsos(h, args, tols):
     res = psd_sos.hsos_test(h, tols)
-    if res.is_hsos:
+    if res.status == "MEMBER":
         return {"hsos": True, "gram_residual": res.certificate.residual}, EXIT_OK, res.certificate
-    return {"hsos": False, "negative_eigenvalue": res.negative_eigenvalue}, EXIT_NEGATIVE, None
+    return {"hsos": False, "negative_eigenvalue": res.min_eigenvalue}, EXIT_NEGATIVE, None
 
 
 @_verb("csos", _arg("--iters", type=_int_at_least(0), default=psd_sos.CSOS_ITERS), _GRAM_OUT)
@@ -329,7 +324,7 @@ def _sep_verify(h, args, tols):
 def _sep_witness(h, args, tols):
     b = io.load_hten(args.witness, tols)
     res = separability.dual_witness_check(h, b, tols)
-    return {"status": res.status, "inner": res.value}, res.status, None
+    return {"status": res.status, "inner": res.value, "relative_inner": res.relative}, res.status, None
 
 
 @_verb("sep-search", _arg("--r", type=_int_at_least(1), required=True),

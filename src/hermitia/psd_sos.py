@@ -1,15 +1,14 @@
 """Positivity certificates for Hermitian tensors.
 
-One Gram problem over three monomial bases b: is there a psd W with
+One Gram problem over two kinds of monomial bases b: is there a psd W with
 sum_{p,q} W[p, q] conj(b_p) b_q = |x_1|^{2 d_1} ... |x_m|^{2 d_m}
 H(x, conj x), coefficient by coefficient, the degrees d_k read from b?
 One cached coefficient map per (shape, basis) numbers the monomials, and
 every certificate's residual is its largest mismatch under that map.
 
-* HSOS: the degree-(1, ..., 1) holomorphic basis, on which W is fixed
-  (the flattening), so the test is one eigendecomposition.
-* Multiplier membership: the multidegree-(k+1) holomorphic basis, HSOS
-  being k = 0; W is again fixed.  Every strictly positive tensor lands
+* Multiplier membership: the multidegree-(k+1) holomorphic basis, on
+  which W is fixed, so the test is one eigendecomposition.  HSOS is rung
+  k = 0, where W is the flattening.  Every strictly positive tensor lands
   in some such set for large enough powers (no effective bound).
 * CSOS: the mixed basis (x_1, conj x_1) (x) ... (x) (x_m, conj x_m), on
   which W is free.  Alternating projections between the psd cone and the
@@ -60,14 +59,6 @@ class GramCertificate:
 
 
 @dataclass(frozen=True)
-class HsosResult:
-    is_hsos: bool
-    certificate: GramCertificate | None = None
-    negative_eigenvalue: float | None = None
-    eigenvector: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
 class CsosResult:
     status: str  # FEASIBLE | INFEASIBLE_HINT | UNKNOWN
     certificate: GramCertificate | None = None
@@ -77,10 +68,15 @@ class CsosResult:
 
 @dataclass(frozen=True)
 class OmegaResult:
+    """One multiplier rung: MEMBER when its Gram matrix W is psd.
+    ``min_eigenvalue`` and ``eigenvector`` are W's least eigenpair either
+    way; at zero powers W is the flattening."""
+
     status: str  # MEMBER | UNKNOWN
     powers: tuple[int, ...]
     certificate: GramCertificate | None = None
     min_eigenvalue: float = float("nan")
+    eigenvector: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -106,37 +102,25 @@ def _product_basis(dims, per_mode) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, rows.reshape(len(rows), -1).tolist()))
 
 
-@lru_cache(maxsize=32)
-def _shape_basis(dims: tuple[int, ...], mixed: bool) -> tuple[tuple[int, ...], ...]:
-    return _product_basis(dims, [np.eye(2 * n if mixed else n, 2 * n) for n in dims])
-
-
 def hol_basis(dims) -> tuple[tuple[int, ...], ...]:
     """Degree-(1, ..., 1) holomorphic monomials x_{1,i_1} ... x_{m,i_m},
-    ordered like the multi-index enumeration."""
-    return _shape_basis(core.check_dims(dims), False)
-
-
-def hsos_test(h: core.HermitianTensor, tols: core.Tolerances = core.TOL) -> HsosResult:
-    """Decide the holomorphic sum-of-squares property: the flattening, the
-    one Gram matrix over ``hol_basis``, is psd (at ``eigTol``)."""
-    cert, sd = _fixed_gram_test(h, hol_basis(h.dims), tols)
-    if cert is not None:
-        return HsosResult(True, certificate=cert)
-    return HsosResult(False, negative_eigenvalue=float(sd.eigenvalues[0]),
-                      eigenvector=sd.eigenvectors[:, 0].copy())
+    ordered like the multi-index enumeration: the basis of rung 0."""
+    dims = core.check_dims(dims)
+    return _rung(dims, (0,) * len(dims))[0]
 
 
 def csos_basis(dims) -> tuple[tuple[int, ...], ...]:
     """Kronecker basis (x_1, conj x_1) (x) ... (x) (x_m, conj x_m)."""
-    return _shape_basis(core.check_dims(dims), True)
+    return _product_basis(core.check_dims(dims), [np.eye(2 * n) for n in dims])
 
 
 def _mode_monomials(n: int, degree: int) -> np.ndarray:
     """Exponent rows of the monomials of the given total degree in n
-    variables, graded-lexicographically ordered (leading variable first)."""
-    exps = [e for e in itertools.product(range(degree, -1, -1), repeat=n) if sum(e) == degree]
-    return np.array(exps, dtype=np.int64).reshape(-1, n)
+    variables, graded-lexicographically ordered (leading variable first):
+    the sorted variable multisets, in lexicographic order, counted."""
+    picks = list(itertools.combinations_with_replacement(range(n), degree))
+    idx = np.array(picks, dtype=np.int64).reshape(len(picks), degree)
+    return (idx[:, :, None] == np.arange(n)).sum(axis=1, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -236,20 +220,6 @@ def gram_reconstruct_residual(h: core.HermitianTensor, cert: GramCertificate) ->
     return cmap.residual(cert.W, cmap.of_tensor(h))
 
 
-def _fixed_gram_test(h: core.HermitianTensor, basis, tols: core.Tolerances):
-    """The Gram test over a basis on which every Gram entry stands for its
-    own monomial, so the coefficient map pins W down: the certificate if
-    W is psd (at ``eigTol``), and W's spectrum either way."""
-    cmap = _coefficient_map(h.dims, basis)
-    targets = cmap.of_tensor(h)
-    w = targets[cmap.gram_ids].reshape(len(basis), -1)
-    w = (w + w.conj().T) / 2.0
-    sd = linalg.herm_part_eig(w)
-    if not sd.is_psd(tols.eigTol):
-        return None, sd
-    return GramCertificate(h.dims, basis, w, cmap.residual(w, targets)), sd
-
-
 # ---------------------------------------------------------------------------
 # CSOS: Gram feasibility over the mixed basis
 
@@ -267,7 +237,7 @@ def _charge_blocks(dims: tuple[int, ...]):
     ``gram_ids`` have the stack's shape (2^m, N, N), and every size is at
     least 1 (groups off the blocks have no entry in the stack).
     """
-    basis = _shape_basis(dims, True)
+    basis = csos_basis(dims)
     cmap = _coefficient_map(dims, basis)
     b = np.asarray(basis, dtype=np.int64)
     hol = np.add.reduceat(b[:, :sum(dims)], np.cumsum((0,) + dims[:-1]), axis=1)  # 1 at x_k, 0 at conj x_k
@@ -333,6 +303,21 @@ def csos_test(
 # Multiplier hierarchy
 
 
+@lru_cache(maxsize=32)
+def _rung(dims: tuple[int, ...], powers: tuple[int, ...]):
+    """Basis and coefficient map of the multiplier rung with these powers:
+    products of one degree-(k+1) holomorphic monomial per mode, ordered
+    like ``itertools.product`` over the modes.  A rung other than the
+    flattening with more than ``BASIS_CAP`` rows raises ``BasisTooLarge``
+    before its basis is built."""
+    size = math.prod(math.comb(n + k, k + 1) for n, k in zip(dims, powers))
+    if any(powers) and size > BASIS_CAP:
+        raise BasisTooLarge(f"basis size {size} exceeds cap {BASIS_CAP}")
+    per_mode = [_mode_monomials(n, k + 1) for n, k in zip(dims, powers)]
+    basis = _product_basis(dims, [np.hstack([a, 0 * a]) for a in per_mode])
+    return basis, _coefficient_map(dims, basis)
+
+
 def multiplier_hsos_test(
     h: core.HermitianTensor,
     powers,
@@ -341,23 +326,32 @@ def multiplier_hsos_test(
     """Membership test for the multiplier cone with the given powers.
 
     Forms |x_1|^{2k_1} ... |x_m|^{2k_m} H(x, conj(x)) and checks whether
-    its Gram matrix over the multidegree-(k+1) holomorphic basis is psd
+    its Gram matrix W over the multidegree-(k+1) holomorphic basis is psd
     (at ``eigTol``).  Over that basis every Gram entry stands for its own
-    monomial, so the test is a single psd check.  Zero powers give the
-    flattening, which is never capped; other bases above ``BASIS_CAP``
-    rows raise ``BasisTooLarge``.
+    monomial, so the coefficient map pins W down and the test is a single
+    psd check.  Zero powers give the flattening, the HSOS test, which is
+    never capped; other bases above ``BASIS_CAP`` rows raise
+    ``BasisTooLarge``.
     """
-    powers = tuple(int(k) for k in powers)
-    if len(powers) != h.order or any(k < 0 for k in powers):
+    powers = tuple(map(int, powers))
+    if len(powers) != h.order or min(powers) < 0:
         raise ShapeMismatch(f"powers {powers} do not match shape {h.dims}")
-    per_mode = [_mode_monomials(n, k + 1) for n, k in zip(h.dims, powers)]
-    bsize = math.prod(len(a) for a in per_mode)
-    if any(powers) and bsize > BASIS_CAP:
-        raise BasisTooLarge(f"basis size {bsize} exceeds cap {BASIS_CAP}")
-    basis = _product_basis(h.dims, [np.hstack([a, 0 * a]) for a in per_mode])
-    cert, sd = _fixed_gram_test(h, basis, tols)
+    basis, cmap = _rung(h.dims, powers)
+    targets = cmap.of_tensor(h)
+    w = targets[cmap.gram_ids].reshape(len(basis), -1)
+    w = (w + w.conj().T) / 2.0
+    sd = linalg.herm_part_eig(w)
+    cert = None
+    if sd.is_psd(tols.eigTol):
+        cert = GramCertificate(h.dims, basis, w, cmap.residual(w, targets))
     return OmegaResult("UNKNOWN" if cert is None else "MEMBER", powers, cert,
-                       float(sd.eigenvalues[0]))
+                       float(sd.eigenvalues[0]), sd.eigenvectors[:, 0].copy())
+
+
+def hsos_test(h: core.HermitianTensor, tols: core.Tolerances = core.TOL) -> OmegaResult:
+    """Decide the holomorphic sum-of-squares property: rung 0 of the
+    multiplier ladder, MEMBER when the flattening is psd (at ``eigTol``)."""
+    return multiplier_hsos_test(h, (0,) * h.order, tols)
 
 
 def psd_verdict(

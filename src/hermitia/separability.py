@@ -129,6 +129,7 @@ class DualWitnessResult:
     status: str  # ENTANGLED_WITNESS | INCONCLUSIVE
     value: float
     certificate: psd_sos.GramCertificate | None = None
+    relative: float = 0.0  # <a, b> / (norm(a) * norm(b)), 0 when either is zero
 
 
 def dual_witness_check(
@@ -139,15 +140,19 @@ def dual_witness_check(
     """Duality refutation: b psd (flattening certificate) and <a, b> < 0
     (below ``-witTol * norm(a) * norm(b)``) prove a is not separable over
     either field.  That bound is taken on a and b scaled into the float
-    range (``core._in_range``), where neither side underflows."""
+    range (``core._in_range``), where neither side underflows, and so is
+    the scale-free ``relative`` value, which keeps its sign where ``value``
+    underflows to zero or overflows."""
     if a.dims != b.dims:
         raise ShapeMismatch(f"shapes differ: {a.dims} vs {b.dims}")
     val = core.inner(a, b, tols)
     hs = psd_sos.hsos_test(b, tols)
     (sa, _), (sb, _) = core._in_range(a), core._in_range(b)
-    if hs.is_hsos and core.inner(sa, sb, tols) < -tols.witTol * core.norm(sa) * core.norm(sb):
-        return DualWitnessResult("ENTANGLED_WITNESS", val, hs.certificate)
-    return DualWitnessResult("INCONCLUSIVE", val)
+    ip, na, nb = core.inner(sa, sb, tols), core.norm(sa), core.norm(sb)
+    rel = ip / (na * nb) if na and nb else 0.0
+    if hs.status == "MEMBER" and ip < -tols.witTol * na * nb:
+        return DualWitnessResult("ENTANGLED_WITNESS", val, hs.certificate, rel)
+    return DualWitnessResult("INCONCLUSIVE", val, relative=rel)
 
 
 def separable_search(
@@ -390,7 +395,7 @@ def separability_pipeline(
     """
     core.check_field(field_name)
     hs = psd_sos.hsos_test(a, tols)
-    if not hs.is_hsos:
+    if hs.status != "MEMBER":
         qq = np.outer(hs.eigenvector, hs.eigenvector.conj())
         b = flatten.hermitian_unflatten((qq + qq.conj().T) / 2.0, a.dims, tols)
         check = dual_witness_check(a, b, tols)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -83,6 +85,13 @@ MERGED_TOLERANCES = {
     "sepTol": ("fitTol", "sep-verify"),
     "nfTol": ("rdTol", "real-decompose-22"),
 }
+
+
+def strict_json(text: str):
+    """``json.loads`` that rejects Infinity and NaN, which are not JSON."""
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=reject)
 
 
 def random_unitary(rng, n: int) -> np.ndarray:

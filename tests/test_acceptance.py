@@ -175,7 +175,7 @@ def test_criterion_6_psd_verdicts():
     hs = psd_sos.hsos_test(hx)
     cs = psd_sos.csos_test(hx)
     elapsed = time.perf_counter() - t0
-    ok = (witness_ok and real_ok and not hs.is_hsos and cs.status == "FEASIBLE"
+    ok = (witness_ok and real_ok and hs.status == "UNKNOWN" and cs.status == "FEASIBLE"
           and elapsed < 30.0)
     _report(6, ok,
             f"complex witness {complex_verdict.witness_value:.4f} <= -0.75, no real witness, "

@@ -15,6 +15,7 @@ from conftest import (
     hankel_witness,
     rpsd_tensor,
     separable_62_matrix,
+    strict_json,
 )
 
 
@@ -476,11 +477,18 @@ def test_every_verb_emits_json(verb, hankel_file, tmp_path, capsys):
     bad.write_text("HTEN 1\ndims 2\n1 2 1 0\n2 1 1 0\n")
     files = {"t": hankel_file, "d": d, "w": w, "bad": bad, "out": tmp_path / "out"}
     code = run(["--json", verb] + [a.format(**files) for a in VERB_ARGV[verb]])
-    report = json.loads(capsys.readouterr().out.splitlines()[-1])
+    report = strict_json(capsys.readouterr().out.splitlines()[-1])
     assert code in (0, 1, 2)
     if verb == "validate":
         assert code == 1
         assert report["valid"] is False and report["detail"]
+
+
+def test_json_spells_non_finite_floats_as_the_text_report(capsys):
+    cli._emit({"a": float("inf"), "b": [float("-inf"), float("nan"), 0.5]}, True)
+    cli._emit({"a": float("inf"), "b": [float("-inf"), float("nan"), 0.5]}, False)
+    assert capsys.readouterr().out.splitlines() == ['{"a": "inf", "b": ["-inf", "nan", 0.5]}',
+                                                    "a: inf", "b: -inf nan 0.5"]
 
 
 @pytest.mark.parametrize("argv", [["hsos", "{id}"], ["random", "--dims", "2,2"]], ids=["hsos", "random"])

@@ -23,23 +23,23 @@ class TestHsos:
     def test_positive_rank1_sums(self, rng):
         h = random_psd_tensor(rng, (2, 2), 3)
         res = ps.hsos_test(h)
-        assert res.is_hsos
+        assert res.status == "MEMBER"
         assert np.allclose(res.certificate.W, h.mat)
         assert ps.gram_reconstruct_residual(h, res.certificate) < 1e-12
 
     def test_csos_example_fails_hsos(self):
         res = ps.hsos_test(csos_not_hsos_tensor())
-        assert not res.is_hsos
-        assert res.negative_eigenvalue == pytest.approx(-1.0, abs=1e-10)
+        assert res.status == "UNKNOWN"
+        assert res.min_eigenvalue == pytest.approx(-1.0, abs=1e-10)
 
     def test_basis_1122_indefinite(self):
         res = ps.hsos_test(core.basis_tensor((1, 1), (2, 2), 1.0, (2, 2)))
-        assert not res.is_hsos
-        assert res.negative_eigenvalue == pytest.approx(-1.0, abs=1e-10)
+        assert res.status == "UNKNOWN"
+        assert res.min_eigenvalue == pytest.approx(-1.0, abs=1e-10)
 
     def test_gram_basis_is_exponent_table(self):
         res = ps.hsos_test(core.identity_tensor((2, 2)))
-        assert res.is_hsos
+        assert res.status == "MEMBER"
         # x_{1,i} x_{2,j} monomials: one exponent in each mode block
         for exps in res.certificate.basis:
             assert sum(exps[:4]) == 2 and sum(exps[4:]) == 0
@@ -113,7 +113,7 @@ class TestCsos:
 
     def test_hsos_true_is_feasible(self, rng):
         h = random_psd_tensor(rng, (2, 2), 2)
-        assert ps.hsos_test(h).is_hsos
+        assert ps.hsos_test(h).status == "MEMBER"
         res = ps.csos_test(h)
         assert res.status == "FEASIBLE"
 
@@ -197,7 +197,7 @@ class TestMultiplier:
         assert np.allclose(res.certificate.W, hp.mat, atol=1e-12)
         neg = csos_not_hsos_tensor()
         assert ps.multiplier_hsos_test(neg, (0, 0)).status == "UNKNOWN"
-        assert not ps.hsos_test(neg).is_hsos
+        assert ps.hsos_test(neg).status == "UNKNOWN"
 
     def test_hsos_closed_under_multipliers(self, rng):
         h = random_psd_tensor(rng, (2, 2), 2)
@@ -223,8 +223,37 @@ class TestMultiplier:
 
     def test_basis_cap(self):
         h = core.identity_tensor((2, 2, 2))
+        cached = ps._rung.cache_info().currsize
         with pytest.raises(BasisTooLarge):
             ps.multiplier_hsos_test(h, (3, 3, 3))
+        assert ps._rung.cache_info().currsize == cached  # raised before the basis was built
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (2, 2, 2), (4, 4), (8, 8)])
+    def test_hsos_is_rung_zero(self, dims):
+        # rung 0's Gram matrix is the flattening, over the basis whose row I
+        # is x_{1,i_1} ... x_{m,i_m}; both answers come from that one rung
+        offs = np.cumsum((0,) + dims[:-1])
+        rows = [np.isin(np.arange(2 * sum(dims)), offs + idx).astype(int)
+                for idx in itertools.product(*map(range, dims))]
+        zeros, q = (0,) * len(dims), core.random_hermitian(dims, 2).mat
+        statuses = []
+        for h in (core.random_hermitian(dims, 1), core.HermitianTensor(dims, q @ q.conj().T)):
+            got, rung = ps.hsos_test(h), ps.multiplier_hsos_test(h, zeros)
+            flat = (h.mat + h.mat.conj().T) / 2.0
+            sd = linalg.herm_part_eig(flat)
+            assert (got.status, got.powers, got.min_eigenvalue) == (rung.status, zeros, sd.eigenvalues[0])
+            assert np.array_equal(got.eigenvector, rung.eigenvector)
+            assert np.array_equal(got.eigenvector, sd.eigenvectors[:, 0])
+            if got.status == "MEMBER":
+                cert, other = got.certificate, rung.certificate
+                assert (cert.dims, cert.basis, cert.residual) == (other.dims, other.basis, other.residual)
+                assert cert.W.tobytes() == other.W.tobytes() == flat.tobytes()  # bit for bit
+                assert cert.basis is ps.hol_basis(dims)  # one cached rung
+                assert cert.basis == tuple(map(tuple, np.array(rows).tolist()))
+            else:
+                assert got.certificate is None is rung.certificate
+            statuses.append(got.status)
+        assert statuses == ["UNKNOWN", "MEMBER"]
 
     def test_hierarchy_kicks_in_for_shifted_csos_pattern(self):
         # the CSOS-not-HSOS pattern plus t times the identity is strictly
@@ -232,8 +261,8 @@ class TestMultiplier:
         base = csos_not_hsos_tensor()
         tight = core.validate((2, 2), base.mat + 0.3 * np.eye(4))
         roomy = core.validate((2, 2), base.mat + 0.6 * np.eye(4))
-        assert not ps.hsos_test(tight).is_hsos
-        assert not ps.hsos_test(roomy).is_hsos
+        assert ps.hsos_test(tight).status == "UNKNOWN"
+        assert ps.hsos_test(roomy).status == "UNKNOWN"
         assert ps.multiplier_hsos_test(tight, (1, 1)).status == "UNKNOWN"
         assert ps.multiplier_hsos_test(roomy, (1, 0)).status == "MEMBER"
         assert ps.multiplier_hsos_test(roomy, (1, 1)).status == "MEMBER"
@@ -369,19 +398,28 @@ def test_stored_residuals_are_the_recomputed_ones(rng):
     assert ps.hsos_test(skewed).certificate.residual == pytest.approx(5e-10)
 
 
+def test_mode_monomials_come_from_variable_multisets():
+    # the order of all (degree + 1)^n exponent tuples, without enumerating
+    # them: rung 0 of a 40-variable mode would otherwise visit 2^40
+    for n, d in itertools.product(range(1, 6), range(4)):
+        brute = [list(e) for e in itertools.product(range(d, -1, -1), repeat=n) if sum(e) == d]
+        assert ps._mode_monomials(n, d).tolist() == brute
+    assert ps.multiplier_hsos_test(core.identity_tensor((40, 2)), (0, 0)).status == "MEMBER"
+
+
 def test_flattening_rung_is_never_capped():
     # N = 81 > BASIS_CAP: the flattening answers, the multipliers are capped
     rng = np.random.default_rng(9)
     q = np.linalg.qr(rng.standard_normal((81, 81)))[0]
     h = core.validate((9, 9), (q * np.linspace(-1.0, 2.0, 81)) @ q.T)
     res = ps.hsos_test(h)
-    assert not res.is_hsos and res.negative_eigenvalue == pytest.approx(-1.0)
-    assert ps.multiplier_hsos_test(h, (0, 0)).min_eigenvalue == res.negative_eigenvalue
+    assert res.status == "UNKNOWN" and res.min_eigenvalue == pytest.approx(-1.0)
+    assert ps.multiplier_hsos_test(h, (0, 0)).min_eigenvalue == res.min_eigenvalue
     with pytest.raises(BasisTooLarge):
         ps.multiplier_hsos_test(h, (1, 0))
     assert sep.separability_pipeline(h).status == "ENTANGLED_WITNESS"
     shifted = core.validate((9, 9), h.mat + 1.5 * np.eye(81))
-    assert ps.hsos_test(shifted).is_hsos
+    assert ps.hsos_test(shifted).status == "MEMBER"
     assert ps.multiplier_hsos_test(shifted, (0, 0)).status == "MEMBER"
     assert ps.psd_verdict(shifted, effort=0).note == "flattening psd (holomorphic sum of squares)"
 
@@ -412,6 +450,25 @@ class TestPsdVerdict:
                 assert np.array_equal(got.certificate.W, want.certificate.W)
         with pytest.raises(ShapeMismatch, match="unknown field 'QUATERNION'"):
             ps.psd_verdict(p, "QUATERNION")
+
+    def test_capped_rungs_are_skipped(self):
+        # on [4,4] every total-2 rung has 80 or 100 rows, above BASIS_CAP,
+        # so the ladder at effort 2 ends with what rungs 0-1 give.  The
+        # input is the shifted CSOS pattern, psd but in no rung up to
+        # (1, 1), on the first two coordinates of each mode, plus 0.3
+        # |x_i|^2 |y_j|^2 for every other pair (i, j)
+        arr = np.zeros((4, 4, 4, 4), dtype=complex)
+        arr[:2, :2, :2, :2] = (csos_not_hsos_tensor().mat + 0.3 * np.eye(4)).reshape(2, 2, 2, 2)
+        flat = arr.reshape(16, 16)
+        outer = [4 * i + j for i in range(4) for j in range(4) if max(i, j) >= 2]
+        flat[outer, outer] = 0.3
+        h = core.validate((4, 4), flat)
+        for powers in ((2, 0), (1, 1), (0, 2)):
+            with pytest.raises(BasisTooLarge):
+                ps.multiplier_hsos_test(h, powers)
+        assert ps.hsos_test(h).status == "UNKNOWN"
+        got = ps.psd_verdict(h, effort=2)
+        assert got.status == "UNKNOWN" and got == ps.psd_verdict(h, effort=1)
 
     def test_identity_certified(self):
         res = ps.psd_verdict(core.identity_tensor((2, 2)), field="COMPLEX", effort=1)

@@ -14,7 +14,8 @@ import pytest
 
 from hermitia import cli, core, decomposition as dec, io as hio, psd_sos, separability as sep
 
-from conftest import csos_not_hsos_tensor, hankel_tensor, hankel_witness, random_unit, random_unitary
+from conftest import (csos_not_hsos_tensor, hankel_tensor, hankel_witness, random_unit, random_unitary,
+                      strict_json)
 
 SCALES = [1.0, 1e-6, 1e-12, 1e-16]
 
@@ -26,7 +27,7 @@ def _scaled(h: core.HermitianTensor, s: float) -> core.HermitianTensor:
 @pytest.mark.parametrize("s", SCALES)
 def test_indefinite_diagonal_is_never_hsos(s):
     h = core.HermitianTensor((2, 2), np.diag([1.0, -1.0, 0.0, 0.0]) * s)
-    assert not psd_sos.hsos_test(h).is_hsos
+    assert psd_sos.hsos_test(h).status == "UNKNOWN"
     assert psd_sos.multiplier_hsos_test(h, (1, 0)).status == "UNKNOWN"
     assert psd_sos.psd_verdict(h).status != "PSD_CERTIFIED"
 
@@ -34,7 +35,7 @@ def test_indefinite_diagonal_is_never_hsos(s):
 @pytest.mark.parametrize("s", SCALES)
 def test_identity_stays_hsos(s):
     h = _scaled(core.identity_tensor((2, 2)), s)
-    assert psd_sos.hsos_test(h).is_hsos
+    assert psd_sos.hsos_test(h).status == "MEMBER"
     assert psd_sos.psd_verdict(h).status == "PSD_CERTIFIED"
 
 
@@ -60,13 +61,18 @@ def test_jennrich_recovers_a_scaled_rank1_term(s, rng):
 
 
 @pytest.mark.parametrize("s", [1.0, 1e-100, 1e-170] + FAR)
-def test_hankel_witness_refutes_at_every_scale(s, tmp_path):
-    # at 1e-170 each, <a, b> and norm(a) * norm(b) are below the float range
+def test_hankel_witness_refutes_at_every_scale(s, tmp_path, capsys):
+    # at 1e-170 each, <a, b> and norm(a) * norm(b) are below the float range:
+    # the reported <a, b> reads -0 there and -inf at 2^560, while the
+    # scale-free <a, b> / (norm(a) * norm(b)) keeps the evidence
     paths = [tmp_path / "a.hten", tmp_path / "b.hten"]
     for path, h in zip(paths, (hankel_tensor(), hankel_witness())):
         hio.save(path, _scaled(h, s))
     assert sep.dual_witness_check(*(hio.load_hten(p) for p in paths)).status == "ENTANGLED_WITNESS"
-    assert cli.run(["sep-witness", str(paths[0]), "--witness", str(paths[1])]) == 1
+    assert cli.run(["--json", "sep-witness", str(paths[0]), "--witness", str(paths[1])]) == 1
+    report = strict_json(capsys.readouterr().out)
+    assert report["relative_inner"] == pytest.approx(-0.00404, abs=5e-6)
+    assert report["inner"] == "-inf" if s > 1.0 else report["inner"] <= 0.0
 
 
 @pytest.mark.parametrize("s", [1.0, pytest.param(2.0 ** -500, id="2^-500")] + FAR)

@@ -133,7 +133,7 @@ class TestDualWitness:
                 (2, 2), tuple((0.5 + rng.random(), (random_unit(rng, 2), random_unit(rng, 2)))
                               for _ in range(2))))
             from hermitia import psd_sos
-            assert psd_sos.hsos_test(b).is_hsos
+            assert psd_sos.hsos_test(b).status == "MEMBER"
             assert core.inner(a, b) >= -1e-9
 
 
