@@ -43,7 +43,7 @@ class Tolerances:
     fitTol: float = 1e-7  # mismatch of a numerical certificate with its tensor, times the norm
     rdTol: float = 1e-8  # real construction mismatch, times the norm (the [2,2] normal form: its largest entry)
     eigTupleTol: float = 1e-8  # eigentuple stationarity residual, times the norm
-    eigGapTol: float = 1e-6  # nonzero eigenvalues closer than this times the largest repeat
+    eigGapTol: float = 1e-6  # eigenvalues closer than this times the largest are one: a repeat, a duplicate, a collision
     witTol: float = 1e-9  # a witness value must lie below -witTol times the norm (of both, for <a, b>)
 
     def __post_init__(self):
@@ -56,6 +56,7 @@ class Tolerances:
 
 
 TOL = Tolerances()
+ROUNDING = 1e-12  # the rounding level: a pivot, coefficient, eigenvalue or step below this times its scale is 0
 
 
 def check_dims(dims) -> tuple[int, ...]:

@@ -28,6 +28,9 @@ from .errors import (
 
 Term = tuple[float, tuple[np.ndarray, ...]]
 
+COND_MAX = 1e10  # Jennrich: a slice mixture above this condition number is singular (UNKNOWN)
+KRUSKAL_TESTS = 2 ** 15  # subset rank tests per mode before ``kruskal_certify`` gives up
+
 
 @dataclass(frozen=True)
 class Unknown:
@@ -121,15 +124,23 @@ class KruskalReport:
 def _kruskal_rank(vectors: list[np.ndarray], rel_tol: float) -> int:
     """Largest k such that every k-subset is linearly independent.
 
-    Exhaustive subset rank tests; exact at desk scale (r <= 12 or so).
+    Full column rank gives r at once: a column subset's smallest to
+    largest singular value ratio is at least the whole matrix's.
+    Otherwise subset rank tests, exhaustive up to ``KRUSKAL_TESTS`` of
+    them (every r <= 15 fits); past that ``RankBudgetExceeded``.
     """
     r = len(vectors)
     n = len(vectors[0])
     m = np.column_stack(vectors)
-    for k in range(1, min(r, n) + 1):
-        for subset in itertools.combinations(range(r), k):
-            if linalg.matrix_rank(m[:, subset], rel_tol) < k:
-                return k - 1
+    if r <= n and linalg.matrix_rank(m, rel_tol) == r:
+        return r
+    subsets = (s for k in range(1, min(r, n) + 1) for s in itertools.combinations(range(r), k))
+    for tests, subset in enumerate(subsets):
+        if tests == KRUSKAL_TESTS:
+            raise RankBudgetExceeded(f"Kruskal rank of {r} vectors in C^{n}: {tests} subset rank "
+                                     "tests made, and more needed")
+        if linalg.matrix_rank(m[:, subset], rel_tol) < len(subset):
+            return len(subset) - 1
     return min(r, n)
 
 
@@ -139,7 +150,8 @@ def kruskal_certify(d: HermitianDecomposition, tols: core.Tolerances = core.TOL)
     With k_i the Kruskal rank of the mode-i vector set (ranks at
     ``rankTol``), the condition sum_i k_i >= r + m certifies the assembled
     tensor has Hermitian rank exactly r, with an essentially unique rank
-    decomposition.
+    decomposition.  A mode whose Kruskal rank needs more than
+    ``KRUSKAL_TESTS`` subset rank tests raises ``RankBudgetExceeded``.
     """
     if d.order <= 1:
         raise ShapeMismatch("Kruskal certification requires order m > 1")
@@ -230,8 +242,8 @@ def jennrich_decompose(
     structure of the decomposition; a generalized eigendecomposition of
     the pair exposes the combined mode vectors, which are split per mode
     by rank-1 factorization and completed with a real least-squares fit
-    of the coefficients.  Returns Unknown when the mixture spectrum is
-    degenerate or the residual stays above ``fitTol * norm(h)``; the rank
+    of the coefficients.  Returns Unknown on a singular mixture, eigenvalues
+    within ``eigGapTol``, or a residual above ``fitTol * norm(h)``; the rank
     of the first unfolding, at ``rankTol``, caps the term count.  A tensor
     outside the float range of ``core._in_range`` is decomposed scaled, and
     its coefficients are scaled back.
@@ -243,7 +255,7 @@ def jennrich_decompose(
         raise RankBudgetExceeded(f"rmax = {rmax} outside the regime 1 <= r <= N3 = {n3}")
     if h.order == 1:
         # matrix case: the spectral decomposition already is the answer
-        pairs = linalg.herm_part_eig(hs.mat).kept(1e-12)
+        pairs = linalg.herm_part_eig(hs.mat).kept(core.ROUNDING)
         pairs.sort(key=lambda p: -abs(p[0]))
         terms = tuple((w, (linalg.phase_normalize(v),)) for w, v in pairs[:rmax])
     else:
@@ -271,7 +283,7 @@ def _jennrich_terms(h, cubic, rmax, seed, tols) -> tuple[Term, ...] | Unknown:
     t2 = np.tensordot(cubic.array, w2, axes=(2, 0))
 
     try:
-        factors = _jennrich_factors(unfold1, t1, t2, r)
+        factors = _jennrich_factors(unfold1, t1, t2, r, tols.eigGapTol)
     except DegenerateSlices as exc:
         return Unknown(str(exc))
 
@@ -279,19 +291,16 @@ def _jennrich_terms(h, cubic, rmax, seed, tols) -> tuple[Term, ...] | Unknown:
     inverse = np.argsort(cubic.mode_order)
     found = []
     for a in factors:
-        vecs, res = linalg.rank1_factor(a.reshape(pdims))
-        if res > 1e-5:
-            return Unknown(f"recovered factor is not rank-1 (residual {res:.2e})")
-        if any(float(np.linalg.norm(v)) == 0.0 for v in vecs):
-            return Unknown("recovered a zero mode vector")
+        vecs, _ = linalg.rank1_factor(a.reshape(pdims))
         found.append((1.0, tuple(vecs[k] for k in inverse)))
 
     tuples = [vs for _, vs in normalize(HermitianDecomposition(h.dims, tuple(found))).terms]
     lams = _fit_coefficients(h, tuples)
-    return tuple((float(lam), vs) for lam, vs in zip(lams, tuples) if abs(lam) > 1e-12 * core.norm(h))
+    # a zero mode vector gets coefficient 0 here and is dropped with the rest
+    return tuple((float(lam), vs) for lam, vs in zip(lams, tuples) if abs(lam) > core.ROUNDING * core.norm(h))
 
 
-def _jennrich_factors(unfold1: np.ndarray, t1: np.ndarray, t2: np.ndarray, r: int):
+def _jennrich_factors(unfold1: np.ndarray, t1: np.ndarray, t2: np.ndarray, r: int, gap: float):
     """Column directions shared by two slice mixtures t1, t2 (N1 x N2)."""
     # orthonormal bases for the shared column and row spaces
     gc = unfold1 @ unfold1.conj().T
@@ -305,14 +314,15 @@ def _jennrich_factors(unfold1: np.ndarray, t1: np.ndarray, t2: np.ndarray, r: in
     s1 = p.conj().T @ t1 @ q
     s2 = p.conj().T @ t2 @ q
     cond = np.linalg.cond(s2)
-    if not np.isfinite(cond) or cond > 1e10:
+    if not np.isfinite(cond) or cond > COND_MAX:
         raise DegenerateSlices("second slice mixture is numerically singular")
     f = s1 @ np.linalg.inv(s2)
     evals, evecs = np.linalg.eig(f)
+    # ratios of two random mixtures carry no unit, so the scale is kept at least 1
     scale = float(np.abs(evals).max())
     for i in range(r):
         for j in range(i + 1, r):
-            if abs(evals[i] - evals[j]) <= 1e-6 * max(scale, 1.0):
+            if abs(evals[i] - evals[j]) <= gap * max(scale, 1.0):
                 raise DegenerateSlices(
                     f"generalized eigenvalues collide: |{evals[i]:.6g} - {evals[j]:.6g}|"
                 )

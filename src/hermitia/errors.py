@@ -30,7 +30,8 @@ class DegenerateTerm(HermitiaError):
 
 
 class RankBudgetExceeded(HermitiaError):
-    """Requested rank is outside the simultaneous-diagonalization regime."""
+    """Requested rank is outside the simultaneous-diagonalization regime,
+    or a Kruskal rank needs more subset rank tests than the cap allows."""
 
 
 class DegenerateSlices(HermitiaError):

@@ -9,10 +9,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TOL, _rank1_sum, kron_vector
+from .core import ROUNDING, TOL, _rank1_sum, kron_vector
 from .errors import NoConvergence, SymmetryViolation, ZeroTensor
 
-PIVOT_TOL = 1e-12
+HERM_CHECK = 1e-8  # herm_eig's input check: |A - A*| within this times the largest |entry|
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,7 @@ def herm_eig(a) -> SpectralDecomp:
     """Full spectral decomposition of a Hermitian matrix, or of a stack
     ``(B, n, n)`` of them solved by one LAPACK ``eigh`` call.
 
-    Each member must be Hermitian within 1e-8 times its own largest
+    Each member must be Hermitian within ``HERM_CHECK`` times its own largest
     |entry|, with no absolute floor.  The check guards a caller's matrix;
     code that builds its own Hermitian matrix calls ``herm_part_eig``.
     """
@@ -60,7 +60,7 @@ def herm_eig(a) -> SpectralDecomp:
     if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
         raise SymmetryViolation(f"expected a square matrix or a stack of them, got shape {a.shape}")
     dev = np.abs(a - np.swapaxes(a.conj(), -1, -2)).max(axis=(-2, -1), initial=0.0)
-    bad = dev > 1e-8 * np.abs(a).max(axis=(-2, -1), initial=0.0)
+    bad = dev > HERM_CHECK * np.abs(a).max(axis=(-2, -1), initial=0.0)
     if bad.any():
         i = int(np.argmax(bad))
         where = f"stack member {i}" if a.ndim == 3 else "matrix"
@@ -109,10 +109,10 @@ def psd_project(a) -> np.ndarray:
 
 def phase_normalize(v: np.ndarray) -> np.ndarray:
     """Rotate a vector, or each row of ``(..., n)``, so its first
-    significant entry (above ``PIVOT_TOL`` times the row's largest) is real positive."""
+    significant entry (above ``ROUNDING`` times the row's largest) is real positive."""
     v = np.asarray(v, dtype=np.complex128)
     mag = np.abs(v)
-    sig = mag > PIVOT_TOL * mag.max(axis=-1, initial=0.0, keepdims=True)
+    sig = mag > ROUNDING * mag.max(axis=-1, initial=0.0, keepdims=True)
     pivot = np.take_along_axis(v, sig.argmax(axis=-1)[..., None], axis=-1)
     size = np.abs(pivot)
     rot = np.conj(pivot) / np.where(size > 0.0, size, 1.0)

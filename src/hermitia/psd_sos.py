@@ -39,6 +39,7 @@ from .errors import BasisTooLarge, ShapeMismatch
 
 BASIS_CAP = 64
 CSOS_ITERS = 5000
+CSOS_STALL = 1e-5  # a projection distance that shrank by less than this share over 59 steps has stalled
 
 
 @dataclass(frozen=True)
@@ -294,7 +295,7 @@ def csos_test(
         dist_hist.append(float(np.linalg.norm(w - p)))
         if len(dist_hist) >= 80 and res > 10.0 * fit_tol:
             recent, past = dist_hist[-1], dist_hist[-60]
-            if past > 0 and recent >= past * (1.0 - 1e-5):
+            if past > 0 and recent >= past * (1.0 - CSOS_STALL):
                 return CsosResult("INFEASIBLE_HINT", None, it, res)
     return CsosResult("UNKNOWN", None, iters, res)
 

@@ -29,6 +29,7 @@ from .decomposition import HermitianDecomposition, fits, residual
 from .errors import ConstructionFailed, NotRealDecomposable, NotShape22, RealityViolation
 
 SHIFT_EPS = 1e-6
+DEFINITE = 1e-10  # normal_form_22: an end-block eigenvalue beyond this times the scale has a sign
 
 
 def is_real_decomposable(h: core.HermitianTensor, tols: core.Tolerances = core.TOL):
@@ -113,7 +114,7 @@ def _decompose_recursive(arr: np.ndarray, dims: tuple[int, ...]):
     m = len(dims)
     if m == 1:
         sd = linalg.herm_part_eig(arr)
-        return [(w, [v.real.astype(np.complex128)]) for w, v in sd.kept(1e-12)]
+        return [(w, [v.real.astype(np.complex128)]) for w, v in sd.kept(core.ROUNDING)]
     nm = dims[-1]
     terms = []
     for s in range(nm):
@@ -187,7 +188,7 @@ def normal_form_22(h: core.HermitianTensor, tols: core.Tolerances = core.TOL) ->
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
     eye = np.eye(2)
 
-    if np.abs(A).max() <= 1e-12 * scale and np.abs(B).max() <= 1e-12 * scale:
+    if np.abs(A).max() <= core.ROUNDING * scale and np.abs(B).max() <= core.ROUNDING * scale:
         w, v = _sym_eig2(C)
         q = v.T
         nf = NormalForm22(eye, q, 0, np.diag(w), np.zeros(2), np.zeros((2, 2)))
@@ -197,14 +198,14 @@ def normal_form_22(h: core.HermitianTensor, tols: core.Tolerances = core.TOL) ->
     # choose the end block to normalize: prefer a definite one, otherwise
     # the one with the strongest definite side (better-conditioned shift)
     def definite(w):
-        return w[0] > 1e-10 * scale or w[1] < -1e-10 * scale
+        return w[0] > DEFINITE * scale or w[1] < -DEFINITE * scale
 
     (w_a, v_a), (w_b, v_b) = _sym_eig2(A), _sym_eig2(B)
     use_b = not definite(w_a) and (definite(w_b) or max(w_b[1], -w_b[0]) > max(w_a[1], -w_a[0]))
     p_mat = swap if use_b else eye
     a_blk, b_blk, wa, va = (B, A, w_b, v_b) if use_b else (A, B, w_a, v_a)
     c_blk = C
-    if wa[1] < -1e-10 * scale or (wa[1] <= 1e-10 * scale and wa[0] < 0):
+    if wa[1] < -DEFINITE * scale or (wa[1] <= DEFINITE * scale and wa[0] < 0):
         # negative semidefinite target: normalize the negated tensor
         s = -1
         a_blk, b_blk, c_blk = -a_blk, -b_blk, -c_blk
@@ -212,7 +213,7 @@ def normal_form_22(h: core.HermitianTensor, tols: core.Tolerances = core.TOL) ->
     else:
         s = 1
 
-    if wa[0] > 1e-10 * scale:
+    if wa[0] > DEFINITE * scale:
         v_shift = np.zeros(2)
     else:
         # shift past singularity by the block's own positive spread so the
@@ -275,7 +276,7 @@ def real_decompose_22(h: core.HermitianTensor, tols: core.Tolerances = core.TOL)
         terms.append((s, (np.array([1.0, s * d1], dtype=np.complex128), e1)))
         terms.append((s, (np.array([1.0, s * d2], dtype=np.complex128), e2)))
         # e_mat is a difference, so its rounding is relative to the operands
-        cut = 1e-12 * max(float(np.abs(nf.Btilde).max()), d1 * d1, d2 * d2)
+        cut = core.ROUNDING * max(float(np.abs(nf.Btilde).max()), d1 * d1, d2 * d2)
         for i in range(2):
             if abs(we[i]) > cut:
                 terms.append((float(we[i]), (e2, ve[:, i].astype(np.complex128))))

@@ -243,7 +243,7 @@ def _budget_search(a, seeds, iters, starts, tols):
         # pinv at the cutoff lstsq(rcond=None) uses on the unpadded system;
         # the zero rows and columns of padded terms are cut and solve to 0
         sol = np.linalg.pinv(gram, rcond=np.finfo(float).eps * rb[act]) @ rhs[:, :, None]
-        lams[act] = np.clip(sol[:, :, 0], 1e-12 * anorm, None) * live_term[act]
+        lams[act] = np.clip(sol[:, :, 0], core.ROUNDING * anorm, None) * live_term[act]
         res[act] = np.linalg.norm(h.mat - core._rank1_sum(lams[act], z), axis=(1, 2))
         ok = res[act] <= thresh
         np.minimum.at(first_ok, act[ok] // starts, act[ok] % starts)

@@ -28,9 +28,10 @@ from . import core, flatten, linalg, real_herm
 from .decomposition import HermitianDecomposition, normalize
 from .errors import ShapeMismatch
 
-DEDUP_VALUE_TOL = 1e-6
 DEFAULT_STARTS = 16
 MAX_BLOCK_SWEEPS = 500
+TIE_GAP = 1e-9  # extreme eigenvalues of a mode matrix this close (relative) span one eigenspace
+PROJECTION_FLOOR = 1e-8  # below this the current vector leaves that eigenspace: take its first vector
 
 
 def _mode_matrices(arr: np.ndarray, xs, k: int) -> np.ndarray:
@@ -93,13 +94,13 @@ def _extreme_update(mk: np.ndarray, current: np.ndarray, largest: np.ndarray):
     sd = linalg.herm_part_eig(mk)
     w, v = sd.eigenvalues, sd.eigenvectors
     lam = np.where(largest, w[:, -1], w[:, 0])
-    gap = (1e-9 * (1.0 + np.abs(lam)))[:, None]
+    gap = (TIE_GAP * (1.0 + np.abs(lam)))[:, None]
     mask = np.where(largest[:, None], w >= lam[:, None] - gap, w <= lam[:, None] + gap)
     basis = v * mask[:, None, :]
     proj = (basis @ (np.swapaxes(basis.conj(), 1, 2) @ current[:, :, None]))[:, :, 0]
     nv = np.linalg.norm(proj, axis=1)[:, None]
     first = v[np.arange(len(v)), :, mask.argmax(axis=1)]
-    return lam, np.where(nv > 1e-8, proj / np.where(nv > 1e-8, nv, 1.0), first)
+    return lam, np.where(nv > PROJECTION_FLOOR, proj / np.where(nv > PROJECTION_FLOOR, nv, 1.0), first)
 
 
 def _residuals(arr, xs, lam) -> np.ndarray:
@@ -138,7 +139,7 @@ def _lockstep(h, x0, largest, tol, hnorm) -> list[EigenTuple]:
         for x, c in zip(xs, cur):
             x[act] = c
         lam[act] = lk
-        conv = act[np.abs(lk - prev) <= 1e-12 * (1.0 + np.abs(lk))]
+        conv = act[np.abs(lk - prev) <= core.ROUNDING * (1.0 + np.abs(lk))]
         if conv.size:
             res[conv] = _residuals(arr, [x[conv] for x in xs], lam[conv])
             act = act[~np.isin(act, conv[res[conv].max(axis=1) <= 0.05 * tol])]
@@ -167,8 +168,8 @@ def herm_eigenpair(
     ``real_herm.real_form(h)``, whose mode matrices at real vectors are
     real symmetric.  Tuples whose stationarity residual exceeds
     ``eigTupleTol`` times ``norm(h)`` are dropped and counted as failures;
-    survivors are deduplicated up to per-mode phases (values within
-    ``DEDUP_VALUE_TOL`` times ``norm(h)``) and sorted by eigenvalue.
+    survivors are deduplicated up to per-mode phases (values and each mode's
+    overlap within ``eigGapTol`` of ``norm(h)`` and 1) and sorted by eigenvalue.
     """
     core.check_field(field)
     if starts < 1:
@@ -190,18 +191,18 @@ def herm_eigenpair(
         if max(tup.residuals) > tols.eigTupleTol * hnorm:
             failed += 1
             continue
-        if any(_same_tuple(tup, other, hnorm) for other in kept):
+        if any(_same_tuple(tup, other, hnorm, tols.eigGapTol) for other in kept):
             continue
         kept.append(tup)
     kept.sort(key=lambda t: t.value)
     return EigenSearch(tuple(kept), failed)
 
 
-def _same_tuple(a: EigenTuple, b: EigenTuple, scale: float) -> bool:
-    if abs(a.value - b.value) > DEDUP_VALUE_TOL * scale:
+def _same_tuple(a: EigenTuple, b: EigenTuple, scale: float, gap: float) -> bool:
+    if abs(a.value - b.value) > gap * scale:
         return False
     for va, vb in zip(a.vectors, b.vectors):
-        if abs(np.vdot(va, vb)) < 1.0 - DEDUP_VALUE_TOL:
+        if abs(np.vdot(va, vb)) < 1.0 - gap:
             return False
     return True
 

@@ -548,6 +548,16 @@ def _near_parallel_terms() -> dec.HermitianDecomposition:
     return dec.HermitianDecomposition((2, 2), ((1.0, (u, u)), (1.0, (w, w))))
 
 
+def _close_last_mode_terms() -> core.HermitianTensor:
+    # [v, e1] + [w, e2] with v, w 1e-3 rad apart: mode 1 sits last in the
+    # cubic flattening, so two of Jennrich's generalized eigenvalues (seed
+    # 0) are 2.4e-4 apart: distinct at the default eigGapTol, one at 1e-2
+    theta = 1e-3
+    v = np.array([1.0, 0.0], dtype=complex)
+    w = np.array([np.cos(theta), np.sin(theta)], dtype=complex)
+    return dec.assemble(dec.HermitianDecomposition((2, 2), ((1.0, (v, _unit(0))), (1.0, (w, _unit(1))))))
+
+
 def _identity_minus_1111() -> core.HermitianTensor:
     # the identity tensor minus a little more than its 1111 entry: the
     # multiplier Gram matrix has a -1e-6 eigenvalue
@@ -576,7 +586,8 @@ TOL_CASES = {
     "rdTol": [("1e-6", ["real-decompose", "{a}"], {"a": near_real_decomposable}, ["symTol=1e-6"], (2, 0)),
               ("1e-6", ["real-decompose-22", "{a}"], {"a": near_real_decomposable}, ["symTol=1e-6"], (2, 0))],
     "eigTupleTol": [("1e-300", ["psd", "{a}"], {"a": cr_psd_ii_tensor}, [], (1, 2))],
-    "eigGapTol": [("1e-4", ["unitary-check", "{a}"], {"a": lambda: _diag(1, 1 + 1e-5, 0, 0)}, [], (0, 2))],
+    "eigGapTol": [("1e-4", ["unitary-check", "{a}"], {"a": lambda: _diag(1, 1 + 1e-5, 0, 0)}, [], (0, 2)),
+                  ("1e-2", ["jennrich", "{a}", "--rmax", "2"], {"a": _close_last_mode_terms}, [], (0, 2))],
     # <a, b> = -4e-8 against norm(a) * norm(b) = 2.83: below -witTol times the norms at 1e-9, not at 1e-7
     "witTol": [("1e-7", ["sep-witness", "{a}", "--witness", "{b}"],
                 {"a": lambda: _diag(1, -1 - 4e-8, 0, 0), "b": lambda: core.identity_tensor((2, 2))}, [], (1, 2))],

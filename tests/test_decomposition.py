@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from hermitia import core, decomposition as dec
+from hermitia import core, decomposition as dec, linalg
 from hermitia.errors import (
     DegenerateTerm,
     NonRealDiagonal,
@@ -174,6 +174,74 @@ class TestKruskal:
         lhs = dec.assemble(moved).mat
         rhs = core.congruent(qs, dec.assemble(base)).mat
         assert np.allclose(lhs, rhs, atol=1e-8)
+
+
+def _random_terms(rng, dims, r) -> dec.HermitianDecomposition:
+    return dec.HermitianDecomposition(
+        dims, tuple((1.0, tuple(random_unit(rng, n) for n in dims)) for _ in range(r)))
+
+
+def _exhaustive_kruskal_rank(vectors, rel_tol) -> int:
+    # every subset of every size, with no shortcut and no cap
+    m = np.column_stack(vectors)
+    n, r = m.shape
+    for k in range(1, min(r, n) + 1):
+        if any(linalg.matrix_rank(m[:, s], rel_tol) < k for s in itertools.combinations(range(r), k)):
+            return k - 1
+    return min(r, n)
+
+
+@pytest.fixture
+def rank_tests(monkeypatch):
+    """Shapes of the matrices whose rank ``kruskal_certify`` tests."""
+    shapes = []
+    matrix_rank = linalg.matrix_rank
+
+    def spy(a, rel_tol):
+        shapes.append(a.shape)
+        return matrix_rank(a, rel_tol)
+
+    monkeypatch.setattr(dec.linalg, "matrix_rank", spy)
+    return shapes
+
+
+class TestKruskalBudget:
+    def test_full_column_rank_takes_one_test(self, rng, rank_tests):
+        # mode 1: 12 vectors in C^16, one rank test; mode 2: 12 in C^4,
+        # sum_{k <= 4} C(12, k) = 793 subset tests
+        rep = dec.kruskal_certify(_random_terms(rng, (16, 4), 12))
+        assert rep.kruskal_ranks == (12, 4) and rep.certified
+        assert rank_tests[0] == (16, 12) and len(rank_tests) == 1 + 793
+
+    def test_cap_refuses_16_terms_on_8x2(self, rng, rank_tests):
+        # mode 1 needs sum_{k <= 8} C(16, k) = 39203 subset tests
+        with pytest.raises(RankBudgetExceeded, match=f"{dec.KRUSKAL_TESTS} subset rank tests made"):
+            dec.kruskal_certify(_random_terms(rng, (8, 2), 16))
+        assert len(rank_tests) == dec.KRUSKAL_TESTS
+
+    def test_cap_never_refuses_15_terms(self, rng, rank_tests):
+        # 15 vectors in C^15 whose only dependent subset is the whole set:
+        # 2^15 - 2 proper subsets pass, and the first 15-subset fails
+        vs = [random_unit(rng, 15) for _ in range(14)]
+        vs.append(sum(vs))
+        assert dec._kruskal_rank(vs, core.TOL.rankTol) == 14
+        assert len(rank_tests) == 1 + 2 ** 15 - 1
+
+    @pytest.mark.parametrize("dims, r", [((8, 8), 3), ((4, 4, 4), 3), ((2, 2, 2, 2, 2, 2), 2)])
+    def test_wide_flatten_reports_unchanged(self, rng, dims, r):
+        # the HDECs that Jennrich writes on the wide-flatten shapes, plus
+        # repeated and parallel mode vectors
+        for _ in range(5):
+            d = _random_terms(rng, dims, r)
+            repeated = dec.HermitianDecomposition(dims, (d.terms[0],) + d.terms[:-1])
+            (lam, vs), *rest = d.terms
+            parallel = dec.HermitianDecomposition(dims, tuple(rest) + ((lam, (2j * rest[0][1][0],) + vs[1:]),))
+            for case in (d, repeated, parallel):
+                want = tuple(_exhaustive_kruskal_rank(case.mode_vectors(k), core.TOL.rankTol)
+                             for k in range(1, len(dims) + 1))
+                rep = dec.kruskal_certify(case)
+                assert rep.kruskal_ranks == want
+                assert rep.certified == (sum(want) >= r + len(dims))
 
 
 class TestBasisDecomposition:

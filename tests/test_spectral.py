@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,21 @@ class TestHermEigenpair:
             for u, v in zip(alone.vectors, tup.vectors):
                 assert np.abs(u - v).max() <= 1e-10
         assert all(any(t is u for u in batch) for t in search.tuples)
+
+    def test_deduplication_follows_eig_gap_tol(self):
+        # the 32 sequences reach 4 tuples up to phases; with no gap every
+        # rounding difference counts, and a gap of 2 (values lie within
+        # +-norm(h), overlaps within 1 - 2 < 0) makes every tuple one
+        h = core.random_hermitian((2, 2), 1)
+
+        def found(gap):
+            tols = dataclasses.replace(core.TOL, eigGapTol=gap)
+            return [t.value for t in sp.herm_eigenpair(h, seed=0, tols=tols).tuples]
+
+        default = found(core.TOL.eigGapTol)
+        assert len(default) == 4 and np.all(np.diff(default) > 0.1)
+        assert len(found(0.0)) > 4 and set(np.round(found(0.0), 9)) == set(np.round(default, 9))
+        assert found(2.0) == default[:1]
 
     def test_matrix_case_matches_eigenvalues(self):
         h = core.random_hermitian((3,), 2)
