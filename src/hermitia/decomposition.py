@@ -54,6 +54,8 @@ class HermitianDecomposition:
         for lam, vectors in self.terms:
             lam = float(lam)
             vs = core.check_vector_tuple(dims, vectors)
+            if not (math.isfinite(lam) and all(np.isfinite(v).all() for v in vs)):
+                raise ShapeMismatch("coefficients and vector entries must be finite (no NaN/Inf)")
             for v in vs:
                 v.flags.writeable = False
             cooked.append((lam, vs))

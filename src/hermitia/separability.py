@@ -167,98 +167,67 @@ def separable_search(
 
     Per sweep, each term's mode vectors are set to the top eigenvector of
     the residual contraction and the coefficients are refit by least
-    squares, clamped positive.  All starts advance in lock-step; the
-    result is the first start (in start order) to fit within ``fitTol``,
-    else the one with the smallest residual.  Certifies separability on
-    success and returns UNKNOWN otherwise (refutation needs a dual
-    witness), at once when the flattening rank (at ``rankTol``) exceeds r.
+    squares, clamped positive.  All starts advance in lock-step, drawn
+    from one PCG64 stream at ``seed``; a start stops once it fits within
+    ``0.2 * fitTol``, and so do the starts after the first fitted one,
+    which cannot win.  The result is that first fitted start, else the
+    one with the smallest residual.  Certifies separability on success and
+    returns UNKNOWN otherwise (refutation needs a dual witness), at once
+    when the flattening rank (at ``rankTol``) exceeds r.  A tensor outside
+    the float range of ``core._in_range`` is searched scaled, and its
+    coefficients and residuals are scaled back.
     """
     if r < 1:
         raise ShapeMismatch("rank budget r must be >= 1")
-    return _budget_search(a, {r: seed}, iters, starts, tols)[r]
-
-
-def _budget_search(a, seeds, iters, starts, tols):
-    """``separable_search`` at every rank budget r in ``seeds`` (r -> seed),
-    all budgets and starts in lock-step.
-
-    Rows are budget-major; terms are padded to the largest budget with
-    zero vectors and zero coefficients, which add nothing to a residual.
-    A budget's rows stop as soon as a smaller budget has a fitted start,
-    since that smaller budget certifies.  Returns {r: SepVerdict} in
-    ascending r for every budget up to the smallest one with a fitted
-    start (every budget when none fits); each verdict is what
-    ``separable_search`` gives on that budget alone.  A tensor outside the
-    float range of ``core._in_range`` is searched scaled, and its
-    coefficients and residuals are scaled back.
-    """
     h, e = core._in_range(a)
     anorm = core.norm(h)
     if anorm == 0.0:
-        return {min(seeds): SepVerdict("SEPARABLE_CERTIFIED", decomposition=HermitianDecomposition(h.dims, ()),
-                                       note="zero tensor: empty positive decomposition")}
+        return SepVerdict("SEPARABLE_CERTIFIED", decomposition=HermitianDecomposition(h.dims, ()),
+                          note="zero tensor: empty positive decomposition")
     mrank = linalg.matrix_rank(h.mat, tols.rankTol)
-    verdicts = {r: SepVerdict("UNKNOWN", note=f"flattening rank {mrank} exceeds the budget r={r}; "
-                                              "no decomposition of that length exists")
-                for r in sorted(seeds) if r < mrank}
-    budgets = sorted(r for r in seeds if r >= mrank)
-    if not budgets:
-        return verdicts
-    rb = np.repeat(budgets, starts)  # the budget of every row
-    rmax = budgets[-1]
-    live_term = np.arange(rmax) < rb[:, None]
-    rngs = {r: np.random.Generator(np.random.PCG64(seeds[r])) for r in budgets}
-    # xs[k] holds mode k+1 of every row and term: (rows, rmax, n_k)
-    xs = [np.zeros((len(rb), rmax, n), dtype=np.complex128) for n in h.dims]
-    for row, r in enumerate(rb):
+    if r < mrank:
+        return SepVerdict("UNKNOWN", note=f"flattening rank {mrank} exceeds the budget r={r}; "
+                                          "no decomposition of that length exists")
+    rng = np.random.Generator(np.random.PCG64(seed))
+    # xs[k] holds mode k+1 of every start and term: (starts, r, n_k)
+    xs = [np.zeros((starts, r, n), dtype=np.complex128) for n in h.dims]
+    for s in range(starts):
         for i in range(r):
             for x, n in zip(xs, h.dims):
-                x[row, i] = _random_unit(rngs[r], n)
-    lams = np.where(live_term, anorm / rb[:, None], 0.0)
+                x[s, i] = _random_unit(rng, n)
+    lams = np.full((starts, r), anorm / r)
     zs = core.kron_vector(xs)
-    res = np.full(len(rb), np.inf)
-    act = np.arange(len(rb))  # rows still running
-    first_ok = np.full(len(budgets), starts)  # per budget, lowest start that fit
-    last = len(budgets)  # index of the smallest budget with a fitted start
+    res = np.full(starts, np.inf)
+    act = np.arange(starts)  # starts still running, ascending
+    first_ok = starts  # the lowest start that fit
     thresh = 0.2 * tols.fitTol * anorm
     for _ in range(iters):
-        for i in range(rmax):
-            rows = act[rb[act] > i]
-            if not rows.size:
-                continue
-            others = lams[rows]
+        for i in range(r):
+            others = lams[act]
             others[:, i] = 0.0
-            res_arr = (h.mat - core._rank1_sum(others, zs[rows])).reshape((len(rows),) + h.dims * 2)
+            res_arr = (h.mat - core._rank1_sum(others, zs[act])).reshape((len(act),) + h.dims * 2)
             for k, n in enumerate(h.dims):
-                mk = spectral._mode_matrices(res_arr, [x[rows, i] for x in xs], k + 1)
+                mk = spectral._mode_matrices(res_arr, [x[act, i] for x in xs], k + 1)
                 sd = linalg.herm_part_eig(mk)
                 v = sd.eigenvectors[:, :, -1]
                 for j in np.flatnonzero(sd.eigenvalues[:, -1] <= 0):
-                    v[j] = _random_unit(rngs[rb[rows[j]]], n)
-                xs[k][rows, i] = v
-            zs[rows, i] = core.kron_vector([x[rows, i] for x in xs])
+                    v[j] = _random_unit(rng, n)
+                xs[k][act, i] = v
+            zs[act, i] = core.kron_vector([x[act, i] for x in xs])
         z = zs[act]
         gram = np.abs(z.conj() @ np.swapaxes(z, 1, 2)) ** 2
         rhs = np.real(np.einsum("bip,pq,biq->bi", z.conj(), h.mat, z))
-        # pinv at the cutoff lstsq(rcond=None) uses on the unpadded system;
-        # the zero rows and columns of padded terms are cut and solve to 0
-        sol = np.linalg.pinv(gram, rcond=np.finfo(float).eps * rb[act]) @ rhs[:, :, None]
-        lams[act] = np.clip(sol[:, :, 0], core.ROUNDING * anorm, None) * live_term[act]
+        # pinv at the cutoff lstsq(rcond=None) uses
+        sol = np.linalg.pinv(gram, rcond=np.finfo(float).eps * r) @ rhs[:, :, None]
+        lams[act] = np.clip(sol[:, :, 0], core.ROUNDING * anorm, None)
         res[act] = np.linalg.norm(h.mat - core._rank1_sum(lams[act], z), axis=(1, 2))
         ok = res[act] <= thresh
-        np.minimum.at(first_ok, act[ok] // starts, act[ok] % starts)
-        last = int(np.append(first_ok < starts, True).argmax())
-        # a fitted start stops; so do the starts after its budget's first
-        # fitted one, which cannot win, and every budget above a fitted one
-        act = act[~ok & (act % starts < first_ok[act // starts]) & (act // starts <= last)]
+        first_ok = min([first_ok, *act[ok]])
+        act = act[~ok & (act < first_ok)]
         if not act.size:
             break
-    for b, r in enumerate(budgets[:last + 1]):
-        rows = slice(b * starts, (b + 1) * starts)
-        pick = b * starts + (first_ok[b] if first_ok[b] < starts else int(np.argmin(res[rows])))
-        verdicts[r] = _fitted_verdict(a, np.ldexp(lams[pick, :r], e), [x[pick, :r] for x in xs],
-                                      math.ldexp(res[pick], e), tols)
-    return verdicts
+    pick = first_ok if first_ok < starts else int(np.argmin(res))
+    return _fitted_verdict(a, np.ldexp(lams[pick], e), [x[pick] for x in xs], math.ldexp(res[pick], e), tols)
 
 
 def _fitted_verdict(a, lams, xs, res, tols) -> SepVerdict:
@@ -386,9 +355,9 @@ def separability_pipeline(
     form: a psd tensor of concurrence 0 gets at most 4 product terms.  A
     [2,2] tensor of positive concurrence is entangled, but no dual
     certificate is produced; it goes on to the search.  (4) Alternating
-    search at rank budgets 1..effort (``SEARCH_ITERS`` sweeps), all run in
-    lock-step; a budget stops once a smaller one has a fitted start, and
-    the smallest budget that fits gives the certificate.  Both (3) and (4)
+    search (``separable_search``) at rank budgets r = 1..effort, one at a
+    time, each from seed + r; the first budget that certifies gives the
+    certificate, and no larger budget runs.  Both (3) and (4)
     leave through ``_certify``: for REAL the terms are split into real and
     imaginary parts, then ``verify_positive_decomposition`` decides; a
     search certificate that fails it ends UNKNOWN.
@@ -422,9 +391,8 @@ def separability_pipeline(
         note = f"concurrence 0: Wootters' closed form, {len(d)} product terms"
         if (found := _certify(a, d, field_name, note, tols)).status == "SEPARABLE_CERTIFIED":
             return found
-    seeds = {r: seed + r for r in range(1, max(1, effort) + 1)}
-    for r, found in _budget_search(a, seeds, SEARCH_ITERS, SEARCH_STARTS, tols).items():
-        if found.status == "SEPARABLE_CERTIFIED":
+    for r in range(1, max(1, effort) + 1):
+        if (found := separable_search(a, r, seed + r, tols=tols)).status == "SEPARABLE_CERTIFIED":
             return _certify(a, found.decomposition, field_name, f"alternating search succeeded at r={r}", tols)
     return SepVerdict("UNKNOWN", field_name, note=f"search exhausted rank budgets 1..{effort}")
 

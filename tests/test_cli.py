@@ -288,9 +288,12 @@ def test_flag_domain_errors_are_usage_errors(tmp_path):
     ["sep-pipeline", "{h}", "--effort", "-2"],
     ["psd", "{h}", "--effort", "-1"],
     ["basis-decompose", "--dims", "2,2", "--I", "1,2", "--J", "2,1", "--c", "0"],
+    ["basis-decompose", "--dims", "2,2", "--I", "1,2", "--J", "2,1", "--c", "nan"],
+    ["basis-decompose", "--dims", "2,2", "--I", "1,2", "--J", "2,1", "--c", "inf"],
     ["random", "--dims", "100,100", "--out", "{out}"],
 ], ids=["eig", "sep-search", "omega", "basis-decompose", "expected-rank", "random", "csos",
-        "sep-pipeline", "psd", "basis-decompose-c", "random-above-max-n"])
+        "sep-pipeline", "psd", "basis-decompose-c", "basis-decompose-c-nan", "basis-decompose-c-inf",
+        "random-above-max-n"])
 def test_bad_flag_values_exit_64(argv, tmp_path, capsys):
     h, out = tmp_path / "h.hten", tmp_path / "x.hten"
     hio.save(h, core.random_hermitian((2, 2), 1))
@@ -331,9 +334,14 @@ def test_malformed_files_still_exit_65(tmp_path, capsys):
     hio.save(good, core.random_hermitian((2, 2), 1))
     bad_hten.write_text("HTEN 1\ndims 2 2\n1 1 1 1 x 0\n")
     bad_hdec.write_text("HDEC 1\ndims 2\nterms 1\nlambda 1\n")
+    nan_hdec = tmp_path / "nan.hdec"
+    nan_hdec.write_text("HDEC 1\ndims 2 2\nterms 1\nlambda 1\nv1 nan 0 0 0\nv2 1 0 0 0\n")
     assert run(["omega", str(bad_hten), "--k", "1,1"]) == 65
     assert run(["sep-verify", str(good), "--decomposition", str(bad_hdec)]) == 65
     assert capsys.readouterr().err.count("input error:") == 2
+    # a non-finite entry is refused on reading, before any solver sees it
+    assert run(["kruskal", str(nan_hdec)]) == 65
+    assert "must be finite" in capsys.readouterr().err
 
 
 def test_gram_certificate_roundtrips_through_cli(tmp_path):

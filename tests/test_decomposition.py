@@ -25,6 +25,12 @@ def two_term_grid_decomposition():
     )
 
 
+@pytest.mark.parametrize("lam, entry", [(np.nan, 1.0), (np.inf, 1.0), (1.0, np.nan), (1.0, complex(0.0, np.inf))])
+def test_non_finite_terms_are_refused(lam, entry):
+    with pytest.raises(ShapeMismatch, match="finite"):
+        dec.HermitianDecomposition((2, 2), ((lam, (np.array([entry, 0.0]), np.ones(2))),))
+
+
 class TestAssemble:
     def test_empty_is_zero(self):
         d = dec.HermitianDecomposition((2, 2), ())

@@ -203,44 +203,20 @@ def separable_23(rng, r=2, real=False) -> core.HermitianTensor:
     return dec.assemble(dec.HermitianDecomposition((2, 3), terms))
 
 
-class TestBudgetLockstep:
-    """The pipeline runs its rank budgets in lock-step; every budget it
-    gets back must give what separable_search gives on it alone, and the
-    budgets above the smallest fitted one stop."""
+class TestBudgetLoop:
+    """The pipeline searches its rank budgets one at a time, each on its
+    own seed, and stops at the first that certifies."""
 
-    def test_budgets_do_not_couple(self):
-        # entangled: no budget fits, so every budget runs to the end
-        a = hankel_tensor()
-        seeds = {1: 6, 2: 7, 3: 8, 4: 9}
-        got = sep._budget_search(a, seeds, 200, 8, core.TOL)
-        assert list(got) == [1, 2, 3, 4]
-        for r, s in seeds.items():
-            want = sep.separable_search(a, r, seed=s)
-            assert got[r].status == "UNKNOWN"
-            assert_same_verdict(got[r], want)
-            assert got[r].note == want.note
-
-    def test_larger_budgets_stop_at_a_fit(self, rng, monkeypatch):
+    def test_pipeline_calls_one_budget_at_a_time(self, rng, monkeypatch):
         a = separable_23(rng)
-        seeds = {1: 6, 2: 7, 3: 8, 4: 9}
-        eig_rows, eigh = [], sep.linalg.herm_part_eig
-        monkeypatch.setattr(sep.linalg, "herm_part_eig", lambda m: eig_rows.append(len(m)) or eigh(m))
-
-        def search(seeds):
-            eig_rows.clear()
-            return sep._budget_search(a, seeds, 200, 8, core.TOL), sum(eig_rows)
-
-        got, joint = search(seeds)
-        # budgets 3 and 4 ran fewer sweeps than on their own
-        assert joint < sum(search({r: s})[1] for r, s in seeds.items())
-        assert list(got) == [1, 2]
-        assert "flattening rank" in got[1].note
-        fit = got[2].decomposition
-        assert dec.residual(fit, a) <= 0.2 * core.TOL.fitTol * core.norm(a)
-        for r, v in got.items():
-            want = sep.separable_search(a, r, seed=seeds[r])
-            assert_same_verdict(v, want)
-            assert v.note == want.note
+        calls, search = [], sep.separable_search
+        monkeypatch.setattr(sep, "separable_search",
+                            lambda a, r, seed, **kw: calls.append((r, seed)) or search(a, r, seed, **kw))
+        # no budget above the first that certifies runs, at any effort
+        got = sep.separability_pipeline(a, "COMPLEX", effort=50, seed=3)
+        assert calls == [(1, 4), (2, 5)]
+        assert got.status == "SEPARABLE_CERTIFIED"
+        assert got.note == "alternating search succeeded at r=2"
 
     def test_pipeline_matches_budget_by_budget(self, rng):
         for a in (separable_23(rng, 3), separable_23(rng)):
